@@ -4,49 +4,31 @@ import org.apache.spark.sql.SparkSession
 
 import repro.exp._
 
-/** Shared spark-submit bootstrap for the table jobs. */
+/** The one SparkSession builder, shared by the table jobs and the tests. */
 object JobSession {
   def session(name: String): SparkSession =
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "16"))
+      // Tiny local frames: few shuffle partitions keep per-query overhead low.
+      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "8"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 }
 
-/** spark-submit entrypoint reproducing Table 1. */
-object RunTable1 {
-  def main(args: Array[String]): Unit =
-    Harness.emit("table1", Table1.run(JobSession.session("arda-table1")))
-}
+/** spark-submit entrypoint reproducing one of Tables 1–6:
+  * `RunTables <1-6>`.
+  */
+object RunTables {
+  private val tables: Map[String, SparkSession => Seq[String]] = Map(
+    "1" -> Table1.run, "2" -> Table2.run, "3" -> Table3.run,
+    "4" -> Table4.run, "5" -> Table5.run, "6" -> Table6.run)
 
-/** spark-submit entrypoint reproducing Table 2. */
-object RunTable2 {
-  def main(args: Array[String]): Unit =
-    Harness.emit("table2", Table2.run(JobSession.session("arda-table2")))
-}
-
-/** spark-submit entrypoint reproducing Table 3. */
-object RunTable3 {
-  def main(args: Array[String]): Unit =
-    Harness.emit("table3", Table3.run(JobSession.session("arda-table3")))
-}
-
-/** spark-submit entrypoint reproducing Table 4. */
-object RunTable4 {
-  def main(args: Array[String]): Unit =
-    Harness.emit("table4", Table4.run(JobSession.session("arda-table4")))
-}
-
-/** spark-submit entrypoint reproducing Table 5. */
-object RunTable5 {
-  def main(args: Array[String]): Unit =
-    Harness.emit("table5", Table5.run(JobSession.session("arda-table5")))
-}
-
-/** spark-submit entrypoint reproducing Table 6. */
-object RunTable6 {
-  def main(args: Array[String]): Unit =
-    Harness.emit("table6", Table6.run(JobSession.session("arda-table6")))
+  def main(args: Array[String]): Unit = args match {
+    case Array(n) if tables.contains(n) =>
+      Harness.emit(s"table$n", tables(n)(JobSession.session(s"arda-table$n")))
+    case _ =>
+      System.err.println("usage: RunTables <table number, 1-6>")
+      sys.exit(2)
+  }
 }

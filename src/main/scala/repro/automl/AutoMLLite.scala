@@ -1,13 +1,13 @@
 package repro.automl
 
-import org.apache.spark.ml.classification.{GBTClassifier, LogisticRegression, RandomForestClassifier}
-import org.apache.spark.ml.feature.VectorAssembler
-import org.apache.spark.ml.regression.{GBTRegressor, LinearRegression, RandomForestRegressor}
+import org.apache.spark.ml.{Model, Estimator => Learner}
+import org.apache.spark.ml.classification.{GBTClassifier, LogisticRegression}
+import org.apache.spark.ml.regression.{GBTRegressor, LinearRegression}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.core.TaskKind
 import repro.ml.Estimator
+import repro.ml.Estimator.{FeaturesCol, PredictionCol}
 
 /** Substitute for the closed AutoML systems the paper compares against
   * (Microsoft Azure AutoML, Alpine Meadow): a time-budgeted sequential
@@ -19,14 +19,16 @@ import repro.ml.Estimator
   */
 object AutoMLLite {
 
+  /** Random Forest shapes tried first, as (trees, depth). */
+  private val ForestShapes = Seq((40, 6), (80, 8), (120, 8))
+
   /** Best holdout score found within `budgetSeconds` (accuracy, or −MAE). */
   def search(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, budgetSeconds: Double = 45.0, seed: Long = 17L): Double = {
+             task: TaskKind, budgetSeconds: Double = 40.0, seed: Long = 17L): Double = {
     if (features.isEmpty) return Double.MinValue
     val (tr0, te0) = Estimator.split(df, seed)
-    val assembler = new VectorAssembler().setInputCols(features.toArray).setOutputCol("__fv")
-    val tr = assembler.transform(tr0.na.fill(0.0, features)).coalesce(4).cache()
-    val te = assembler.transform(te0.na.fill(0.0, features)).coalesce(4).cache()
+    val tr = Estimator.assemble(tr0, features).cache()
+    val te = Estimator.assemble(te0, features).cache()
     tr.count(); te.count()
 
     val deadline = System.nanoTime() + (budgetSeconds * 1e9).toLong
@@ -35,49 +37,34 @@ object AutoMLLite {
       case TaskKind.Regression     => 0
     }
 
-    def candidates: Seq[() => Double] = task match {
+    val forests = ForestShapes.map { case (t, d) => Estimator.forest(task, target, t, d, seed) }
+    val others: Seq[Learner[_ <: Model[_]]] = task match {
       case TaskKind.Classification =>
-        val rf = for ((t, d) <- Seq((40, 6), (80, 8), (120, 8))) yield { () =>
-          val m = new RandomForestClassifier().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setNumTrees(t).setMaxDepth(d).setMaxBins(Estimator.Bins).setSeed(seed).fit(tr)
-          Estimator.accuracy(m.transform(te), target, "__p")
-        }
-        val lr = Seq(0.0, 0.01).map { r => () =>
-          val m = new LogisticRegression().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setRegParam(r).setMaxIter(60).fit(tr)
-          Estimator.accuracy(m.transform(te), target, "__p")
+        val lr = Seq(0.0, 0.01).map { r =>
+          new LogisticRegression().setFeaturesCol(FeaturesCol).setLabelCol(target)
+            .setPredictionCol(PredictionCol).setRegParam(r).setMaxIter(60)
         }
         // GBT is binary-only in Spark ML.
-        val gbt = if (nClasses == 2) Seq(15).map { it => () =>
-          val m = new GBTClassifier().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setMaxIter(it).setMaxDepth(5).setMaxBins(Estimator.Bins).setSeed(seed).fit(tr)
-          Estimator.accuracy(m.transform(te), target, "__p")
-        } else Nil
-        rf ++ lr ++ gbt
+        val gbt = if (nClasses == 2) Seq(
+          new GBTClassifier().setFeaturesCol(FeaturesCol).setLabelCol(target)
+            .setPredictionCol(PredictionCol).setMaxIter(15).setMaxDepth(5).setMaxBins(Estimator.Bins).setSeed(seed)
+        ) else Nil
+        lr ++ gbt
       case TaskKind.Regression =>
-        val rf = for ((t, d) <- Seq((40, 6), (80, 8), (120, 8))) yield { () =>
-          val m = new RandomForestRegressor().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setNumTrees(t).setMaxDepth(d).setMaxBins(Estimator.Bins).setSeed(seed).fit(tr)
-          -Estimator.mae(m.transform(te), target, "__p")
+        val lin = Seq(0.0, 0.01).map { r =>
+          new LinearRegression().setFeaturesCol(FeaturesCol).setLabelCol(target)
+            .setPredictionCol(PredictionCol).setRegParam(r).setMaxIter(60)
         }
-        val lin = Seq(0.0, 0.01).map { r => () =>
-          val m = new LinearRegression().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setRegParam(r).setMaxIter(60).fit(tr)
-          -Estimator.mae(m.transform(te), target, "__p")
-        }
-        val gbt = Seq(15).map { it => () =>
-          val m = new GBTRegressor().setFeaturesCol("__fv").setLabelCol(target)
-            .setPredictionCol("__p").setMaxIter(it).setMaxDepth(5).setMaxBins(Estimator.Bins).setSeed(seed).fit(tr)
-          -Estimator.mae(m.transform(te), target, "__p")
-        }
-        rf ++ lin ++ gbt
+        val gbt = new GBTRegressor().setFeaturesCol(FeaturesCol).setLabelCol(target)
+          .setPredictionCol(PredictionCol).setMaxIter(15).setMaxDepth(5).setMaxBins(Estimator.Bins).setSeed(seed)
+        lin :+ gbt
     }
 
     var best = Double.MinValue
-    val it = candidates.iterator
+    val it = (forests ++ others).iterator
     var ran = 0
     while (it.hasNext && (ran == 0 || System.nanoTime() < deadline)) {
-      best = math.max(best, it.next()())
+      best = math.max(best, Estimator.score(task, it.next().fit(tr).transform(te), target))
       ran += 1
     }
     tr.unpersist(false); te.unpersist(false)

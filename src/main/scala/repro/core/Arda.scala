@@ -103,13 +103,12 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
     }
   }
 
-  /** The candidate a prepared feature column came from (columns are
-    * `<candidate>__<col>[__is_k]`).
+  /** The planned candidate a prepared feature column came from. Columns
+    * are `<candidate>__<col>[__is_k]` and alternate-key candidates are
+    * named `<candidate>__alt<i>`, so the longest matching name wins.
     */
-  def sourceOf(feature: String): Option[String] = {
-    val i = feature.indexOf("__")
-    if (i <= 0) None else Some(feature.substring(0, i))
-  }
+  def sourceOf(feature: String): Option[String] =
+    planned.map(_.cand.name).filter(n => feature.startsWith(s"${n}__")).maxByOption(_.length)
 
   /** The raw (pre-binarization) column behind a prepared feature name. */
   private def rawOf(feature: String): String = {

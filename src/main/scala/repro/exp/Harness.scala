@@ -1,9 +1,8 @@
 package repro.exp
 
 import java.io.{File, PrintWriter}
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 
-import repro.automl.AutoMLLite
 import repro.core._
 import repro.data.{MicroBench, SynthWorlds}
 import repro.fs.{FeatureSelector, FeatureSelectors, Rifs}
@@ -64,7 +63,7 @@ object Harness {
 
   /** Micro-benchmark protocol (§7.2 / Tables 2, 6): build a coreset of the
     * noise-augmented matrix with the given strategy, select features on
-    * it, then score the selection with the auto-optimized estimator on
+    * it, then score the selection with the final estimator (`autoScore`) on
     * the full dataset. Returns (score, fsSeconds, nSelected).
     */
   def runMicro(m: MicroBench.Micro, selector: FeatureSelector,
@@ -86,13 +85,6 @@ object Harness {
     cached.unpersist(false)
     (score, fsSec, safe.length)
   }
-
-  /** AutoML-lite scores on a frame (used for the AutoML rows of Tables
-    * 1 and 6).
-    */
-  def autoMl(df: DataFrame, features: Seq[String], target: String, task: TaskKind,
-             budgetSeconds: Double = 40.0): Double =
-    AutoMLLite.search(df, features, target, task, budgetSeconds)
 
   // ------------------------------------------------------------- output
   def resultsDir: File = {

@@ -3,6 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions.col
 
+import repro.automl.AutoMLLite
 import repro.core._
 import repro.data.SynthWorlds
 import repro.fs.FeatureSelectors
@@ -51,7 +52,7 @@ object Table1 {
       // AutoML-lite (substitute for Azure AutoML / Alpine Meadow): base
       // table and fully-materialized (coreset-level) join, no selection.
       val t1 = System.nanoTime()
-      val amlBase = Harness.autoMl(p.baseFull, p.baseFeats, world.task.target, task)
+      val amlBase = AutoMLLite.search(p.baseFull, p.baseFeats, world.task.target, task)
       rows += Row(name, "baseline (AutoML-lite)", disp(amlBase), (System.nanoTime() - t1) / 1e9)
 
       val (coreDf, coreFeats) = p.coresetPrepared
@@ -62,7 +63,7 @@ object Table1 {
       }
       val allFeats = coreFeats ++ p.batchFrames.flatMap(_._3)
       val t2 = System.nanoTime()
-      val amlAll = Harness.autoMl(allJoined, allFeats, world.task.target, task)
+      val amlAll = AutoMLLite.search(allJoined, allFeats, world.task.target, task)
       rows += Row(name, "all features (AutoML-lite)", disp(amlAll), (System.nanoTime() - t2) / 1e9)
 
       // TR rule as a stand-alone method: prefilter, keep all features.

@@ -2,6 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 
+import repro.automl.AutoMLLite
 import repro.core._
 import repro.data.MicroBench
 import repro.ml.Estimator
@@ -36,10 +37,10 @@ object Table6 {
 
       // AutoML-lite on base and on all features (Azure/Alpine substitutes).
       val t2 = System.nanoTime()
-      val amlBase = Harness.autoMl(full, m0.features, m0.target, m0.task)
+      val amlBase = AutoMLLite.search(full, m0.features, m0.target, m0.task)
       lines += line("baseline (AutoML-lite)", amlBase, (System.nanoTime() - t2) / 1e9)
       val t3 = System.nanoTime()
-      val amlAll = Harness.autoMl(full, noisy.features, noisy.target, noisy.task)
+      val amlAll = AutoMLLite.search(full, noisy.features, noisy.target, noisy.task)
       lines += line("all features (AutoML-lite)", amlAll, (System.nanoTime() - t3) / 1e9)
 
       for (sel <- Harness.standardSelectors if sel.supports(m0.task)) {

@@ -1,9 +1,7 @@
 package repro.fs
 
-import org.apache.spark.ml.classification.{LinearSVC, LogisticRegression, OneVsRest, RandomForestClassifier}
-import org.apache.spark.ml.classification.LinearSVCModel
-import org.apache.spark.ml.feature.VectorAssembler
-import org.apache.spark.ml.regression.{LinearRegression, RandomForestRegressor}
+import org.apache.spark.ml.classification.{LinearSVC, LinearSVCModel, LogisticRegression, OneVsRest, RandomForestClassificationModel}
+import org.apache.spark.ml.regression.{LinearRegression, RandomForestRegressionModel}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -24,30 +22,18 @@ trait Ranker {
 
 object Rankers {
 
-  // coalesce(4): see Estimator.assemble — scheduling beats compute at
-  // coreset scale otherwise.
-  private def assemble(df: DataFrame, features: Seq[String]): DataFrame =
-    new VectorAssembler().setInputCols(features.toArray).setOutputCol("__fv")
-      .transform(df.na.fill(0.0, features)).coalesce(4)
+  import Estimator.{assemble, FeaturesCol}
 
   /** Spark-ML Random Forest impurity importances. */
   object RandomForestRanker extends Ranker {
     val name = "random forest"
     def rank(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, seed: Long): Array[Double] = {
-      val a = assemble(df, features)
-      val imp = task match {
-        case TaskKind.Classification =>
-          new RandomForestClassifier().setFeaturesCol("__fv").setLabelCol(target)
-            .setNumTrees(Estimator.FastTrees).setMaxDepth(Estimator.FastDepth).setMaxBins(Estimator.Bins)
-            .setSeed(seed).fit(a).featureImportances
-        case TaskKind.Regression =>
-          new RandomForestRegressor().setFeaturesCol("__fv").setLabelCol(target)
-            .setNumTrees(Estimator.FastTrees).setMaxDepth(Estimator.FastDepth).setMaxBins(Estimator.Bins)
-            .setSeed(seed).fit(a).featureImportances
+             task: TaskKind, seed: Long): Array[Double] =
+      Estimator.forest(task, target, Estimator.FastTrees, Estimator.FastDepth, seed)
+        .fit(assemble(df, features)) match {
+        case m: RandomForestClassificationModel => m.featureImportances.toArray
+        case m: RandomForestRegressionModel     => m.featureImportances.toArray
       }
-      imp.toArray
-    }
   }
 
   /** ℓ2,1 sparse regression (Eq. 1) row-norm ranking — the paper's second
@@ -75,7 +61,7 @@ object Rankers {
     def rank(df: DataFrame, features: Seq[String], target: String,
              task: TaskKind, seed: Long): Array[Double] = {
       val a = assemble(df, features)
-      val m = new LinearRegression().setFeaturesCol("__fv").setLabelCol(target)
+      val m = new LinearRegression().setFeaturesCol(FeaturesCol).setLabelCol(target)
         .setElasticNetParam(1.0).setRegParam(0.02).setMaxIter(50).fit(a)
       m.coefficients.toArray.map(math.abs)
     }
@@ -88,7 +74,7 @@ object Rankers {
     def rank(df: DataFrame, features: Seq[String], target: String,
              task: TaskKind, seed: Long): Array[Double] = {
       val a = assemble(df, features)
-      val m = new LogisticRegression().setFeaturesCol("__fv").setLabelCol(target)
+      val m = new LogisticRegression().setFeaturesCol(FeaturesCol).setLabelCol(target)
         .setElasticNetParam(1.0).setRegParam(0.01).setMaxIter(50).fit(a)
       val cm = m.coefficientMatrix
       Array.tabulate(features.length) { j =>
@@ -107,12 +93,12 @@ object Rankers {
              task: TaskKind, seed: Long): Array[Double] = {
       val a = assemble(df, features).withColumn(target, col(target).cast("double"))
       val nClasses = a.select(target).distinct().count().toInt
-      val svc = new LinearSVC().setFeaturesCol("__fv").setLabelCol(target)
+      val svc = new LinearSVC().setFeaturesCol(FeaturesCol).setLabelCol(target)
         .setRegParam(0.05).setMaxIter(30)
       if (nClasses <= 2) svc.fit(a).coefficients.toArray.map(math.abs)
       else {
         val ovr = new OneVsRest().setClassifier(svc)
-          .setFeaturesCol("__fv").setLabelCol(target).fit(a)
+          .setFeaturesCol(FeaturesCol).setLabelCol(target).fit(a)
         val out = Array.fill(features.length)(0.0)
         ovr.models.foreach { case m: LinearSVCModel =>
           val c = m.coefficients.toArray

@@ -1,5 +1,6 @@
 package repro.ml
 
+import org.apache.spark.ml.{Model, Estimator => Learner}
 import org.apache.spark.ml.classification.RandomForestClassifier
 import org.apache.spark.ml.feature.VectorAssembler
 import org.apache.spark.ml.regression.RandomForestRegressor
@@ -8,13 +9,14 @@ import org.apache.spark.sql.functions._
 
 import repro.core.TaskKind
 
-/** The paper's fixed estimator (§7): a "lightly auto-optimized" Random
-  * Forest. Scores follow a higher-is-better convention: classification →
-  * holdout accuracy, regression → negative holdout MAE.
+/** The paper's fixed estimator (§7), a Random Forest, and the one place
+  * that assembles a feature vector, builds a forest for a task and scores
+  * predictions. Scores follow a higher-is-better convention:
+  * classification → holdout accuracy, regression → negative holdout MAE.
   *
-  * `holdoutScore` (one fixed config) is the cheap inner-loop evaluator
-  * used by wrapper selectors; `autoScore` tries a small grid and keeps the
-  * best holdout score, mirroring the paper's final estimates.
+  * `holdoutScore` (the `FastTrees` × `FastDepth` forest) is the cheap
+  * inner-loop evaluator used by wrapper selectors; `autoScore` fits the
+  * fixed, larger `FinalTrees` × `FinalDepth` forest for final estimates.
   */
 object Estimator {
 
@@ -22,11 +24,24 @@ object Estimator {
   val FastTrees = 25
   val FastDepth = 6
 
+  /** Final-estimate config. Depth capped at 8: deeper forests on wide
+    * (500+-feature) frames blow up the per-level split-stats tasks to
+    * tens of MB for no accuracy gain at this data scale.
+    */
+  val FinalTrees = 60
+  val FinalDepth = 8
+
   /** Few split bins: MLlib RF split-stats scale as nodes × features ×
     * bins; 8 bins keeps wide-frame (500+-feature) fits from shipping
     * tens-of-MB task binaries, with no accuracy gain at this data scale.
     */
   val Bins = 8
+
+  /** Column holding the assembled feature vector. */
+  val FeaturesCol = "__fv"
+
+  /** Column every model fitted through here predicts into. */
+  val PredictionCol = "__p"
 
   /** Deterministic 70/30 split on a seeded rand column. */
   def split(df: DataFrame, seed: Long): (DataFrame, DataFrame) = {
@@ -35,35 +50,43 @@ object Estimator {
      tagged.filter(col("__u") >= 0.7).drop("__u"))
   }
 
-  // coalesce(4): coreset-scale frames in 16 default partitions spend more
-  // time scheduling tiny tasks per tree level than computing.
-  private def assemble(df: DataFrame, features: Seq[String]): DataFrame =
-    new VectorAssembler().setInputCols(features.toArray).setOutputCol("__fv")
+  /** Nulls filled with 0 and `features` assembled into [[FeaturesCol]].
+    * coalesce(4): coreset-scale frames spread over many partitions spend
+    * more time scheduling tiny tasks per tree level than computing.
+    */
+  def assemble(df: DataFrame, features: Seq[String]): DataFrame =
+    new VectorAssembler().setInputCols(features.toArray).setOutputCol(FeaturesCol)
       .transform(df.na.fill(0.0, features)).coalesce(4)
 
+  /** The task's Random Forest over [[FeaturesCol]], predicting `target`
+    * into [[PredictionCol]].
+    */
+  def forest(task: TaskKind, target: String, trees: Int, depth: Int,
+             seed: Long): Learner[_ <: Model[_]] = task match {
+    case TaskKind.Classification =>
+      new RandomForestClassifier()
+        .setFeaturesCol(FeaturesCol).setLabelCol(target).setPredictionCol(PredictionCol)
+        .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Bins).setSeed(seed)
+    case TaskKind.Regression =>
+      new RandomForestRegressor()
+        .setFeaturesCol(FeaturesCol).setLabelCol(target).setPredictionCol(PredictionCol)
+        .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Bins).setSeed(seed)
+  }
+
+  /** Higher-is-better score of [[PredictionCol]] against `target`. */
+  def score(task: TaskKind, pred: DataFrame, target: String): Double = task match {
+    case TaskKind.Classification => accuracy(pred, target, PredictionCol)
+    case TaskKind.Regression     => -mae(pred, target, PredictionCol)
+  }
+
   /** Train an RF with the given shape and return the holdout score. */
-  def fitScore(train: DataFrame, test: DataFrame, features: Seq[String],
-               target: String, task: TaskKind,
-               trees: Int = FastTrees, depth: Int = FastDepth,
-               seed: Long = 17L): Double = {
+  private def fitScore(train: DataFrame, test: DataFrame, features: Seq[String],
+                       target: String, task: TaskKind,
+                       trees: Int, depth: Int, seed: Long): Double = {
     val trA = assemble(train, features)
     val teA = assemble(test, features)
-    task match {
-      case TaskKind.Classification =>
-        val m = new RandomForestClassifier()
-          .setFeaturesCol("__fv").setLabelCol(target).setPredictionCol("__p")
-          .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Bins).setSeed(seed)
-          .fit(trA)
-        val pred = m.transform(teA)
-        accuracy(pred, target, "__p")
-      case TaskKind.Regression =>
-        val m = new RandomForestRegressor()
-          .setFeaturesCol("__fv").setLabelCol(target).setPredictionCol("__p")
-          .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Bins).setSeed(seed)
-          .fit(trA)
-        val pred = m.transform(teA)
-        -mae(pred, target, "__p")
-    }
+    val model = forest(task, target, trees, depth, seed).fit(trA)
+    score(task, model.transform(teA), target)
   }
 
   /** Accuracy of a prediction column against the label. */
@@ -83,20 +106,16 @@ object Estimator {
                    task: TaskKind, seed: Long = 17L): Double = {
     if (features.isEmpty) return Double.MinValue
     val (tr, te) = split(df, seed)
-    fitScore(tr, te, features, target, task, seed = seed)
+    fitScore(tr, te, features, target, task, FastTrees, FastDepth, seed)
   }
 
-  /** Lightly auto-optimized final estimate: best holdout score over a
-    * small (trees, depth) grid.
+  /** The final estimate: holdout score of the `FinalTrees` × `FinalDepth`
+    * forest.
     */
   def autoScore(df: DataFrame, features: Seq[String], target: String,
                 task: TaskKind, seed: Long = 17L): Double = {
     if (features.isEmpty) return Double.MinValue
     val (tr, te) = split(df, seed)
-    // Depth capped at 8: deeper forests on wide (500+-feature) frames blow
-    // up the per-level split-stats tasks to tens of MB for no accuracy
-    // gain at this data scale.
-    val grid = Seq((60, 8))
-    grid.map { case (t, d) => fitScore(tr, te, features, target, task, t, d, seed) }.max
+    fitScore(tr, te, features, target, task, FinalTrees, FinalDepth, seed)
   }
 }

@@ -83,6 +83,22 @@ class ArdaSpec extends SparkSpec {
     assert(r.nBatches >= 1)
   }
 
+  test("features joined on an alternate key reach the final estimate") {
+    // `t` carries signal only when joined on its alternate key k2.
+    val t = spark.range(0, 50, 1, 2).select(col("id").as("fk"), randn(21).as("x"))
+    val base = spark.range(0, 400, 1, 4)
+      .select(col("id"), (col("id") % 50).as("k1"), floor(rand(22) * 50).cast("long").as("k2"),
+              randn(23).as("b"))
+      .join(t.withColumnRenamed("fk", "k2"), "k2")
+      .withColumn("y", col("x") * 3 + randn(24) * 0.1).drop("x")
+    val task = AugTask("alt", base, "y", TaskKind.Regression, Seq(CandidateJoin("t", t,
+      Seq(KeyPair("k1", "fk", KeyKind.Hard)), altKeys = Seq(Seq(KeyPair("k2", "fk", KeyKind.Hard))))))
+    val r = Arda.run(task, cfg, FeatureSelectors.KeepAll)
+    assert(r.keptCandidates.toSet == Set("t", "t__alt0"), s"kept ${r.keptCandidates}")
+    assert(r.augmentedScore > r.baselineScore,
+           s"aug ${r.augmentedScore} vs base ${r.baselineScore}")
+  }
+
   test("soft-join world runs end to end (taxi subset)") {
     val w = SynthWorlds.taxi(spark)
     val sub = w.task.copy(candidates = w.task.candidates.filter(c =>

@@ -2,7 +2,9 @@ package repro.ml
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.automl.AutoMLLite
 import repro.core.TaskKind
+import repro.fs.Rankers
 
 class EstimatorSpec extends SparkSpec {
   import spark.implicits._
@@ -57,6 +59,47 @@ class EstimatorSpec extends SparkSpec {
     val fast = Estimator.holdoutScore(clsDf, Seq("sig", "noise"), "y", TaskKind.Classification)
     val auto = Estimator.autoScore(clsDf, Seq("sig", "noise"), "y", TaskKind.Classification)
     assert(auto >= fast - 0.05)
+  }
+
+  // Fixtures for pinned outputs: an explicit partition count, so the
+  // values do not depend on the core count, and a materialized cache,
+  // because a first pass over an unfilled cache fits different forests.
+  private lazy val pinCls = {
+    val d = spark.range(0, 400, 1, 4).select(
+      (col("id") % 2).cast("double").as("y"),
+      ((col("id") % 2).cast("double") + randn(11) * 0.8).as("sig"),
+      randn(12).as("noise")).cache()
+    d.count(); d
+  }
+
+  private lazy val pinReg = {
+    val d = spark.range(0, 400, 1, 4).select(randn(13).as("sig"), randn(14).as("noise"))
+      .withColumn("y", col("sig") * 2 + randn(15) * 0.5).cache()
+    d.count(); d
+  }
+
+  test("fitting path outputs are pinned") {
+    val feats = Seq("sig", "noise")
+    val (c, r) = (TaskKind.Classification, TaskKind.Regression)
+    val got = Seq(
+      "holdout cls" -> Seq(Estimator.holdoutScore(pinCls, feats, "y", c)),
+      "holdout reg" -> Seq(Estimator.holdoutScore(pinReg, feats, "y", r)),
+      "auto cls"    -> Seq(Estimator.autoScore(pinCls, feats, "y", c)),
+      "auto reg"    -> Seq(Estimator.autoScore(pinReg, feats, "y", r)),
+      "rf rank cls" -> Rankers.RandomForestRanker.rank(pinCls, feats, "y", c, 3L).toSeq,
+      "rf rank reg" -> Rankers.RandomForestRanker.rank(pinReg, feats, "y", r, 3L).toSeq,
+      "automl cls"  -> Seq(AutoMLLite.search(pinCls, feats, "y", c, budgetSeconds = 0)),
+      "automl reg"  -> Seq(AutoMLLite.search(pinReg, feats, "y", r, budgetSeconds = 0)))
+    val pinned = Seq(
+      "holdout cls" -> Seq(0.7777777777777778),
+      "holdout reg" -> Seq(-0.6069581661837604),
+      "auto cls"    -> Seq(0.7863247863247863),
+      "auto reg"    -> Seq(-0.6076284578507963),
+      "rf rank cls" -> Seq(0.8279449987568891, 0.17205500124311088),
+      "rf rank reg" -> Seq(0.9670339996867178, 0.03296600031328233),
+      "automl cls"  -> Seq(0.7863247863247863),
+      "automl reg"  -> Seq(-0.598062503017631))
+    assert(got == pinned)
   }
 
   test("MatrixOps.collect round-trips values") {
