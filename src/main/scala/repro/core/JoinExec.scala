@@ -8,14 +8,20 @@ import org.apache.spark.sql.types._
 /** Join execution (§4).
   *
   * Only LEFT joins are used: augmentation must preserve every base-table
-  * row and add no rows. One-to-many matches are removed by pre-aggregating
-  * the foreign table on its join keys; soft keys join to the nearest
-  * foreign value (optionally interpolating between the two bracketing
-  * rows); and time keys with mismatched granularity are resampled —
-  * foreign rows are aggregated to the base key's granularity before the
-  * join.
+  * row and add no rows. Every join takes one path:
+  *   1. prefix the foreign payload columns with the candidate name;
+  *   2. for a soft time key that is finer than the base key, truncate it
+  *      to the base key's granularity (time resampling; every soft method
+  *      but `HardUnmodified`);
+  *   3. aggregate the foreign table to one row per join key (numeric →
+  *      avg, others → min), which removes one-to-many matches and averages
+  *      each resampled period — on a key that is already unique this only
+  *      turns numeric payloads into doubles;
+  *   4. left-join: on equal keys, or, for the nearest-neighbour soft
+  *      methods, to the nearest foreign value (optionally interpolating
+  *      between the two bracketing rows).
   *
-  * Soft joins are expressed as a union + window ("as-of join"): base and
+  * Nearest-neighbour joins are expressed as a union + window ("as-of join"): base and
   * foreign rows are interleaved, sorted by the soft key (partitioned by
   * any hard key components of a composite key), and `last/first(...,
   * ignoreNulls)` recover the bracketing foreign payloads for every base
@@ -47,8 +53,8 @@ object JoinExec {
   }
 
   /** Aggregate `df` grouped by `keyCols`: numeric columns → avg, others →
-    * min (deterministic representative). Used both for time resampling
-    * (key already truncated) and one-to-many pre-aggregation.
+    * min (deterministic representative). `join` applies it once to every
+    * foreign table, after any time-key truncation.
     */
   def aggregateByKeys(df: DataFrame, keyCols: Seq[String]): DataFrame = {
     val payload = df.columns.filterNot(keyCols.contains)
@@ -58,11 +64,6 @@ object JoinExec {
     }
     if (aggs.isEmpty) df.select(keyCols.map(col): _*).distinct()
     else df.groupBy(keyCols.map(col): _*).agg(aggs.head, aggs.tail: _*)
-  }
-
-  /** True iff `df` has at least one duplicated key combination. */
-  def hasDuplicateKeys(df: DataFrame, keyCols: Seq[String]): Boolean = {
-    df.groupBy(keyCols.map(col): _*).count().filter(col("count") > 1).limit(1).count() > 0
   }
 
   /** Execute one candidate join against `left`, returning `left` plus the
@@ -75,64 +76,46 @@ object JoinExec {
     val hardKeys = cand.keys.filter(_.kind == KeyKind.Hard)
     val softKeys = cand.keys.filter(_.kind == KeyKind.Soft)
     require(softKeys.size <= 1, s"at most one soft key component supported, got ${softKeys.size}")
+    val keys = hardKeys ++ softKeys
+    val keyCols = keys.map(_.foreignCol)
 
     // Rename payload columns up front so nothing collides with `left`.
-    val keyCols = cand.keys.map(_.foreignCol)
     val payloadCols = cand.table.columns.filterNot(keyCols.contains).toSeq
-    val foreign0 = payloadCols.foldLeft(cand.table) { (d, c) =>
+    val renamed = payloadCols.foldLeft(cand.table) { (d, c) =>
       d.withColumnRenamed(c, prefixed(cand.name, c))
     }
     val payload = payloadCols.map(prefixed(cand.name, _))
 
-    softKeys.headOption match {
-      case None =>
-        hardJoin(left, foreign0, hardKeys, payload)
-      case Some(soft) =>
-        softJoin(left, foreign0, hardKeys, soft, payload, method, tolerance, seed)
+    val aligned = softKeys.headOption match {
+      case Some(soft) if method != SoftJoinMethod.HardUnmodified => truncateToBase(left, renamed, soft)
+      case _ => renamed
+    }
+    // One row per foreign key: removes one-to-many matches and, after
+    // truncation, averages each base-granularity period (§4).
+    val foreign = aggregateByKeys(aligned, keyCols)
+
+    (softKeys.headOption, method) match {
+      case (Some(soft), SoftJoinMethod.NearestNeighbour | SoftJoinMethod.TwoWayNearestNeighbour) =>
+        asOfJoin(left, foreign, hardKeys, soft, payload,
+                 twoWay = method == SoftJoinMethod.TwoWayNearestNeighbour, tolerance, seed)
+      case _ =>
+        val cond = keys.map(k => left(k.baseCol) === foreign(k.foreignCol)).reduce(_ && _)
+        left.join(foreign, cond, "left")
+          .select(left.columns.map(left(_)) ++ payload.map(foreign(_)): _*)
     }
   }
 
-  private def hardJoin(left: DataFrame, foreign: DataFrame,
-                       keys: Seq[KeyPair], payload: Seq[String]): DataFrame = {
-    val keyCols = keys.map(_.foreignCol)
-    // One-to-many / many-to-many → pre-aggregate on the join keys (§4).
-    val f = if (hasDuplicateKeys(foreign, keyCols)) aggregateByKeys(foreign, keyCols) else foreign
-    val cond = keys.map(k => left(k.baseCol) === f(k.foreignCol)).reduce(_ && _)
-    val joined = left.join(f, cond, "left")
-    joined.select(left.columns.map(left(_)) ++ payload.map(f(_)): _*)
-  }
-
-  /** Soft (as-of) join on a single numeric soft key, with optional hard
-    * key components forming the window partition.
+  /** Time resampling (§4): when the foreign soft key is finer than the base
+    * key, truncate it to the base key's granularity.
     */
-  private def softJoin(left: DataFrame, foreign0: DataFrame,
-                       hardKeys: Seq[KeyPair], soft: KeyPair,
-                       payload: Seq[String], method: SoftJoinMethod,
-                       tolerance: Option[Double], seed: Long): DataFrame = {
-    // --- time resampling (§4): align the foreign key to the base key's
-    // granularity when the foreign side is finer.
-    val baseGran    = inferGranularity(left, soft.baseCol)
-    val foreignGran = inferGranularity(foreign0, soft.foreignCol)
-    val resampled = (baseGran, foreignGran) match {
-      case (Some(bg), Some(fg)) if fg < bg && method != SoftJoinMethod.HardUnmodified =>
-        val truncated = foreign0.withColumn(
+  private def truncateToBase(left: DataFrame, foreign: DataFrame, soft: KeyPair): DataFrame =
+    (inferGranularity(left, soft.baseCol), inferGranularity(foreign, soft.foreignCol)) match {
+      case (Some(bg), Some(fg)) if fg < bg =>
+        foreign.withColumn(
           soft.foreignCol,
           (floor(col(soft.foreignCol).cast(DoubleType) / bg) * bg).cast(DoubleType))
-        aggregateByKeys(truncated, hardKeys.map(_.foreignCol) :+ soft.foreignCol)
-      case _ => foreign0
+      case _ => foreign
     }
-    val fKeys = hardKeys.map(_.foreignCol) :+ soft.foreignCol
-    val foreign = if (hasDuplicateKeys(resampled, fKeys)) aggregateByKeys(resampled, fKeys) else resampled
-
-    method match {
-      case SoftJoinMethod.HardUnmodified | SoftJoinMethod.HardWithResampling =>
-        hardJoin(left, foreign,
-                 hardKeys :+ soft, payload)
-      case nn =>
-        asOfJoin(left, foreign, hardKeys, soft, payload,
-                 twoWay = nn == SoftJoinMethod.TwoWayNearestNeighbour, tolerance, seed)
-    }
-  }
 
   /** Union-and-window as-of join. For every base row we recover the
     * bracketing foreign rows (largest foreign key ≤ x and smallest ≥ x)

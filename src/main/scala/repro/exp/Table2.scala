@@ -30,8 +30,8 @@ object Table2 {
 
   /** (method → strategy → score) for School (S), via the ARDA pipeline. */
   def schoolScores(spark: SparkSession): Map[String, Map[CoresetStrategy, Double]] = {
+    val world = SynthWorlds.schoolS(spark)
     val results = strategies.map { s =>
-      val world = SynthWorlds.schoolS(spark)
       val cfg = Harness.benchCfg.copy(coresetStrategy = s)
       val rs = Harness.runSelectors(world, cfg, methods)
       s -> rs.map(r => r.method -> r.augmentedScore).toMap

@@ -25,18 +25,16 @@ object Table3 {
   )
 
   def run(spark: SparkSession): Seq[String] = {
-    val worldsOf: Map[String, SparkSession => SynthWorlds.World] = Map(
-      "Taxi" -> (SynthWorlds.taxi(_)), "Pickup" -> (SynthWorlds.pickup(_)),
-      "Poverty" -> (SynthWorlds.poverty(_)))
+    val worlds = Seq("Taxi" -> SynthWorlds.taxi(spark), "Pickup" -> SynthWorlds.pickup(spark),
+                     "Poverty" -> SynthWorlds.poverty(spark))
     for {
-      ds <- Seq("Taxi", "Pickup", "Poverty")
+      (ds, world) <- worlds
       lines = {
-        val uni = Harness.runSelectors(worldsOf(ds)(spark), Harness.benchCfg, methods)
-          .map(r => r.method -> r.augmentedScore).toMap
-        val sk = Harness.runSelectors(
-          worldsOf(ds)(spark),
-          Harness.benchCfg.copy(coresetStrategy = CoresetStrategy.Sketch), methods)
-          .map(r => r.method -> r.augmentedScore).toMap
+        def scores(s: CoresetStrategy): Map[String, Double] =
+          Harness.runSelectors(world, Harness.benchCfg.copy(coresetStrategy = s), methods)
+            .map(r => r.method -> r.augmentedScore).toMap
+        val uni = scores(CoresetStrategy.Uniform)
+        val sk  = scores(CoresetStrategy.Sketch)
         methods.map { m =>
           val d = Harness.pctChange(TaskKind.Regression, sk(m.name), uni(m.name))
           f"$ds%-8s | ${m.name}%-20s | sketch vs uniform = ${Harness.pct(d)}"

@@ -20,19 +20,18 @@ object Table5 {
   )
 
   def run(spark: SparkSession): Seq[String] = {
-    val worldsOf: Seq[(String, SparkSession => SynthWorlds.World)] = Seq(
-      "Taxi" -> (SynthWorlds.taxi(_)), "Pickup" -> (SynthWorlds.pickup(_)),
-      "Poverty" -> (SynthWorlds.poverty(_)), "School(S)" -> (SynthWorlds.schoolS(_)))
+    val worlds = Seq("Taxi" -> SynthWorlds.taxi(spark), "Pickup" -> SynthWorlds.pickup(spark),
+                     "Poverty" -> SynthWorlds.poverty(spark), "School(S)" -> SynthWorlds.schoolS(spark))
     for {
-      (ds, mk) <- worldsOf
+      (ds, world) <- worlds
       lines = {
         def scores(g: GroupingStrategy): Map[String, Double] =
-          Harness.runSelectors(mk(spark), Harness.benchCfg.copy(grouping = g), methods)
+          Harness.runSelectors(world, Harness.benchCfg.copy(grouping = g), methods)
             .map(r => r.method -> r.augmentedScore).toMap
         val budget  = scores(GroupingStrategy.BudgetJoin)
         val table   = scores(GroupingStrategy.TableJoin)
         val fullmat = scores(GroupingStrategy.FullMaterialization)
-        val task = mk(spark).task.task
+        val task = world.task.task
         methods.map { m =>
           val dT = Harness.pctChange(task, table(m.name), budget(m.name))
           val dF = Harness.pctChange(task, fullmat(m.name), budget(m.name))

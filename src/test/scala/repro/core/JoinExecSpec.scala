@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.DoubleType
 import repro.{Oracle, SparkSpec}
 
 class JoinExecSpec extends SparkSpec {
@@ -42,11 +44,6 @@ class JoinExecSpec extends SparkSpec {
       "t" -> df)
   }
 
-  test("hasDuplicateKeys") {
-    assert(JoinExec.hasDuplicateKeys(Seq((1, 1), (1, 2)).toDF("k", "v"), Seq("k")))
-    assert(!JoinExec.hasDuplicateKeys(Seq((1, 1), (2, 2)).toDF("k", "v"), Seq("k")))
-  }
-
   test("hard join is a LEFT join preserving all base rows") {
     val base = Seq((1L, 10L), (2L, 20L), (3L, 99L)).toDF("id", "k")
     val f = Seq((10L, 1.0), (20L, 2.0)).toDF("fk", "v")
@@ -75,6 +72,14 @@ class JoinExecSpec extends SparkSpec {
     assert(out.count() == 2)
     val m = out.collect().map(r => r.getLong(0) -> r.getDouble(2)).toMap
     assert(m(1L) == 2.0 && m(2L) == 5.0)
+    // Integer payloads come back as double whether or not the key repeats,
+    // so the joined schema does not depend on the data.
+    for (rows <- Seq(Seq((10L, 4L), (20L, 6L)), Seq((10L, 3L), (10L, 5L), (20L, 6L)))) {
+      val outN = JoinExec.join(base,
+        CandidateJoin("t", rows.toDF("fk", "n"), Seq(KeyPair("k", "fk", KeyKind.Hard))))
+      assert(outN.schema("t__n").dataType == DoubleType)
+      assert(outN.collect().map(r => r.getLong(0) -> r.getDouble(2)).toMap == Map(1L -> 4.0, 2L -> 6.0))
+    }
   }
 
   test("composite hard key join") {
@@ -178,6 +183,66 @@ class JoinExecSpec extends SparkSpec {
     val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
                             SoftJoinMethod.NearestNeighbour)
     assert(out.head.getDouble(2) == 2.0) // aggregated day value, not one hour's
+  }
+
+  // DuckDB oracles for the soft joins. Each foreign fixture repeats one key
+  // (pre-aggregated to its mean), one base key matches a foreign key
+  // exactly, and base keys fall before the first and after the last
+  // foreign key. Payloads are numeric: categorical two-way picks are random.
+  private val Day = 86400.0
+
+  /** Both bracketing foreign rows of every base row: the nearest at or
+    * below (`klo`, `vlo`) and at or above (`khi`, `vhi`) its key.
+    */
+  private val Bracketed =
+    "WITH b AS (SELECT CAST(id AS BIGINT) AS id, CAST(t AS DOUBLE) AS t FROM base), " +
+      "f AS (SELECT CAST(ft AS DOUBLE) AS ft, AVG(CAST(v AS DOUBLE)) AS v FROM fr GROUP BY 1), " +
+      "j AS (SELECT b.id, b.t, lo.ft AS klo, lo.v AS vlo, hi.ft AS khi, hi.v AS vhi " +
+      "FROM b ASOF LEFT JOIN f lo ON b.t >= lo.ft ASOF LEFT JOIN f hi ON b.t <= hi.ft) "
+
+  private def softJoined(base: DataFrame, f: DataFrame, method: SoftJoinMethod,
+                         tolerance: Option[Double] = None): DataFrame =
+    JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
+                  method, tolerance)
+      .select(col("id").cast("long").as("id"), col("w__v").cast("double").as("w__v"))
+
+  test("hour-to-day resampling join matches DuckDB truncate, group and left join") {
+    val base = Seq(9.0, 10.0, 11.0, 13.0).zipWithIndex
+      .map { case (d, i) => (i.toLong, d * Day) }.toDF("id", "t")
+    val f = Seq((Day * 10, 1.0), (Day * 10 + 3600, 3.0), (Day * 10 + 3600, 5.0),
+                (Day * 11 + 7200, 7.0), (Day * 12 + 3600, 9.0)).toDF("ft", "v")
+    Oracle.assertEquivalent(softJoined(base, f, SoftJoinMethod.HardWithResampling),
+      "WITH b AS (SELECT CAST(id AS BIGINT) AS id, CAST(t AS DOUBLE) AS t FROM base), " +
+        "f AS (SELECT floor(CAST(ft AS DOUBLE) / 86400) * 86400 AS ft, " +
+        "AVG(CAST(v AS DOUBLE)) AS v FROM fr GROUP BY 1) " +
+        "SELECT b.id AS id, f.v AS w__v FROM b LEFT JOIN f ON b.t = f.ft",
+      "base" -> base, "fr" -> f)
+  }
+
+  test("NN join with a tolerance matches DuckDB as-of joins") {
+    val base = Seq(3.0, 7.0, 20.0, 24.0, 25.0, 26.0, 35.0, 40.0).zipWithIndex
+      .map { case (t, i) => (i.toLong, t) }.toDF("id", "t")
+    val f = Seq((10.0, 1.0), (20.0, 2.0), (20.0, 4.0), (30.0, 5.0)).toDF("ft", "v")
+    // The nearer bracketing row wins, the lower one on a tie; null beyond 5.
+    Oracle.assertEquivalent(softJoined(base, f, SoftJoinMethod.NearestNeighbour, Some(5.0)),
+      Bracketed + "SELECT id, CASE " +
+        "WHEN klo IS NOT NULL AND (khi IS NULL OR t - klo <= khi - t) " +
+        "THEN CASE WHEN t - klo <= 5 THEN vlo END " +
+        "WHEN khi IS NOT NULL THEN CASE WHEN khi - t <= 5 THEN vhi END END AS w__v FROM j",
+      "base" -> base, "fr" -> f)
+  }
+
+  test("two-way NN join matches DuckDB as-of joins with interpolation") {
+    val base = Seq(5.0, 10.0, 15.0, 20.0, 27.0, 35.0).zipWithIndex
+      .map { case (t, i) => (i.toLong, t) }.toDF("id", "t")
+    val f = Seq((10.0, 100.0), (20.0, 200.0), (20.0, 400.0), (30.0, 600.0)).toDF("ft", "v")
+    // λ·v_lo + (1−λ)·v_hi with λ = (k_hi − t)/(k_hi − k_lo); one side alone otherwise.
+    Oracle.assertEquivalent(softJoined(base, f, SoftJoinMethod.TwoWayNearestNeighbour),
+      Bracketed + "SELECT id, CASE " +
+        "WHEN klo IS NOT NULL AND khi IS NOT NULL THEN CASE WHEN khi = klo THEN vlo " +
+        "ELSE (khi - t) / (khi - klo) * vlo + (1 - (khi - t) / (khi - klo)) * vhi END " +
+        "WHEN klo IS NOT NULL THEN vlo WHEN khi IS NOT NULL THEN vhi END AS w__v FROM j",
+      "base" -> base, "fr" -> f)
   }
 
   test("mixed composite key: hard component partitions the soft match") {

@@ -112,8 +112,8 @@ class SynthWorldsSpec extends SparkSpec {
   }
 
   test("one-to-many signal table has duplicate keys (taxi events)") {
-    val events = taxi.task.candidates.find(_.name == "events").get
-    assert(JoinExec.hasDuplicateKeys(events.table, Seq("ts_day")))
+    val events = taxi.task.candidates.find(_.name == "events").get.table
+    assert(events.select("ts_day").distinct().count() < events.count())
   }
 
   test("foreign tables have partial coverage producing some nulls") {
