@@ -52,7 +52,8 @@ object Preprocess {
   }
 
   /** Impute nulls: numeric → median (via approxQuantile), categorical →
-    * uniform random draw from the column's observed distinct values.
+    * uniform random draw from the column's 64 smallest observed distinct
+    * values.
     */
   def impute(df: DataFrame, cols: Seq[String], seed: Long = 7L): DataFrame = {
     val nums = numericCols(df, cols)
@@ -75,8 +76,9 @@ object Preprocess {
     }
 
     cats.foldLeft(afterNum) { (d, c) =>
+      // Ordered before the limit: the inventory must not depend on partitioning.
       val values = d.filter(col(c).isNotNull).select(col(c)).distinct()
-        .limit(64).collect().map(_.get(0).toString)
+        .orderBy(col(c)).limit(64).collect().map(_.get(0).toString)
       if (values.isEmpty) d.withColumn(c, coalesce(col(c), lit("∅")))
       else {
         // rand() indexes uniformly into the observed values for null slots.

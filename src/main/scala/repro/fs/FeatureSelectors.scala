@@ -3,6 +3,7 @@ package repro.fs
 import org.apache.spark.sql.DataFrame
 
 import repro.core.TaskKind
+import repro.ml.MatrixOps
 
 /** A feature selector: returns the subset of `features` to keep. This is
   * the interface ARDA invokes per join batch (§3) and the micro
@@ -26,15 +27,20 @@ object FeatureSelectors {
 
   /** Ranker + the paper's exponential search (§6.3) — used for random
     * forest, sparse regression, mutual info, f-test, lasso, logistic,
-    * linear svc and relief rows of Table 1/6.
+    * linear svc and relief rows of Table 1/6. The input is collected once;
+    * a [[LocalRanker]] ranks that matrix, the others rank `df`.
     */
   final class Ranked(ranker: Ranker) extends FeatureSelector {
     val name: String = ranker.name
     override def supports(task: TaskKind): Boolean = ranker.supports(task)
     def select(df: DataFrame, features: Seq[String], target: String,
                task: TaskKind, seed: Long): Seq[String] = {
-      val scores = ranker.rank(df, features, target, task, seed)
-      Selection.exponentialSearch(df, Selection.orderByScore(features, scores), target, task, seed)
+      val data = MatrixOps.collect(df, features, target)
+      val scores = ranker match {
+        case local: LocalRanker => local.rank(data, features, task, seed)
+        case spark              => spark.rank(df, features, target, task, seed)
+      }
+      Selection.exponentialSearch(data, Selection.orderByScore(features, scores), task, seed)
     }
   }
 
@@ -45,8 +51,9 @@ object FeatureSelectors {
     val name = "forward selection"
     def select(df: DataFrame, features: Seq[String], target: String,
                task: TaskKind, seed: Long): Seq[String] = {
-      val scores = Rankers.RandomForestRanker.rank(df, features, target, task, seed)
-      Selection.forward(df, Selection.orderByScore(features, scores), target, task, seed)
+      val data = MatrixOps.collect(df, features, target)
+      val scores = Rankers.RandomForestRanker.rank(data, features, task, seed)
+      Selection.forward(data, Selection.orderByScore(features, scores), task, seed)
     }
   }
 
@@ -55,8 +62,9 @@ object FeatureSelectors {
     val name = "backward selection"
     def select(df: DataFrame, features: Seq[String], target: String,
                task: TaskKind, seed: Long): Seq[String] = {
-      val scores = Rankers.RandomForestRanker.rank(df, features, target, task, seed)
-      Selection.backward(df, Selection.orderByScore(features, scores), target, task, seed)
+      val data = MatrixOps.collect(df, features, target)
+      val scores = Rankers.RandomForestRanker.rank(data, features, task, seed)
+      Selection.backward(data, Selection.orderByScore(features, scores), task, seed)
     }
   }
 
@@ -65,7 +73,7 @@ object FeatureSelectors {
     val name = "RFE"
     def select(df: DataFrame, features: Seq[String], target: String,
                task: TaskKind, seed: Long): Seq[String] =
-      Selection.rfe(df, features, target, task, seed)
+      Selection.rfe(MatrixOps.collect(df, features, target), features, task, seed)
   }
 
   /** RIFS (§6) with the given configuration. */

@@ -1,12 +1,13 @@
 package repro.fs
 
-import org.apache.spark.ml.classification.{LinearSVC, LinearSVCModel, LogisticRegression, OneVsRest, RandomForestClassificationModel}
-import org.apache.spark.ml.regression.{LinearRegression, RandomForestRegressionModel}
+import org.apache.spark.ml.classification.{LinearSVC, LinearSVCModel, LogisticRegression, OneVsRest}
+import org.apache.spark.ml.regression.LinearRegression
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.core.TaskKind
-import repro.ml.{Estimator, FilterStats, MatrixOps, Relief, SparseRegression}
+import repro.ml.{Estimator, FilterStats, LocalForest, MatrixOps, Relief, SparseRegression}
+import repro.ml.MatrixOps.LocalData
 
 /** A feature ranker: assigns every feature a relevance score (higher =
   * better). Rankers are combined with a subset-selection strategy
@@ -20,35 +21,42 @@ trait Ranker {
            task: TaskKind, seed: Long): Array[Double]
 }
 
+/** A ranker that runs on the driver over a collected coreset matrix, so a
+  * selector can collect its input once and rank any subset of its columns.
+  */
+trait LocalRanker extends Ranker {
+  /** Scores of the columns `features` of `data`. */
+  def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double]
+
+  final def rank(df: DataFrame, features: Seq[String], target: String,
+                 task: TaskKind, seed: Long): Array[Double] =
+    rank(MatrixOps.collect(df, features, target), features, task, seed)
+}
+
 object Rankers {
 
   import Estimator.{assemble, FeaturesCol}
 
-  /** Spark-ML Random Forest impurity importances. */
-  object RandomForestRanker extends Ranker {
+  /** Impurity importances of the `FastTrees` × `FastDepth` [[LocalForest]],
+    * fitted on every row of the matrix.
+    */
+  object RandomForestRanker extends LocalRanker {
     val name = "random forest"
-    def rank(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, seed: Long): Array[Double] =
-      Estimator.forest(task, target, Estimator.FastTrees, Estimator.FastDepth, seed)
-        .fit(assemble(df, features)) match {
-        case m: RandomForestClassificationModel => m.featureImportances.toArray
-        case m: RandomForestRegressionModel     => m.featureImportances.toArray
-      }
+    def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
+      LocalForest.fit(data, features, Array.range(0, data.y.length), task,
+                      Estimator.FastTrees, Estimator.FastDepth, seed).importances
   }
 
   /** ℓ2,1 sparse regression (Eq. 1) row-norm ranking — the paper's second
-    * ensemble member (§6.2). Runs on the collected coreset matrix.
+    * ensemble member (§6.2), on standardized columns of the matrix.
     */
   final class SparseRegressionRanker(gamma: Double = 0.1,
-                                     robustLabels: Boolean = false) extends Ranker {
+                                     robustLabels: Boolean = false) extends LocalRanker {
     val name = "sparse regression"
-    def rank(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, seed: Long): Array[Double] = {
-      val local = MatrixOps.collect(df, features, target)
-      MatrixOps.standardize(local.x)
-      val yMat = SparseRegression.labelMatrix(local.y, task)
-      SparseRegression.solve(local.x, yMat, gamma, robustLabels = robustLabels)
-        .rowNorms.toArray
+    def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] = {
+      val x = MatrixOps.standardize(data.columns(features))
+      val yMat = SparseRegression.labelMatrix(data.y, task)
+      SparseRegression.solve(x, yMat, gamma, robustLabels = robustLabels).rowNorms.toArray
     }
   }
 
@@ -129,13 +137,10 @@ object Rankers {
   }
 
   /** ReliefF / RReliefF weights over the collected coreset. */
-  object ReliefRanker extends Ranker {
+  object ReliefRanker extends LocalRanker {
     val name = "relief"
-    def rank(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, seed: Long): Array[Double] = {
-      val local = MatrixOps.collect(df, features, target)
-      Relief.weights(local.x, local.y, task, seed = seed).toArray
-    }
+    def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
+      Relief.weights(data.columns(features), data.y, task, seed = seed).toArray
   }
 
   val all: Seq[Ranker] = Seq(

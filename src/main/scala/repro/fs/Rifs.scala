@@ -1,11 +1,12 @@
 package repro.fs
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import breeze.linalg.{*, axpy, sum, DenseMatrix}
+import org.apache.spark.sql.DataFrame
 import scala.util.Random
 
 import repro.core.TaskKind
-import repro.ml.Estimator
+import repro.ml.{Estimator, MatrixOps}
+import repro.ml.MatrixOps.LocalData
 
 /** Random Injection Feature Selection (§6, Algorithms 1–3).
   *
@@ -17,12 +18,13 @@ import repro.ml.Estimator
   * fraction of the input — a moment-matched N(µ,Σ) over the empirical
   * column distribution (Algorithm 2).
   *
-  * Moment-matched samples are expressed as Catalyst column expressions:
-  * with µ the per-row mean over feature columns and C_i = A_i − µ, the
-  * sample µ + Σ_{i∈S} (g_i/√s)·C_i (S a random size-s subset, g ~ N(0,1))
-  * has mean µ and covariance (1/d)·ΣC_iC_iᵀ in expectation — the empirical
-  * moments — while keeping the expression tree small. No data is
-  * collected to inject noise.
+  * `select` collects its input once into a coreset matrix; injection, both
+  * rankings of every repeat and the threshold sweep's holdout fits all run
+  * on that matrix on the driver. With µ the per-row mean over feature
+  * columns and C_i = A_i − µ, a moment-matched sample is
+  * µ + Σ_{i∈S} (g_i/√s)·C_i (S a random size-s subset, g ~ N(0,1)): it has
+  * mean µ and covariance (1/d)·ΣC_iC_iᵀ in expectation — the empirical
+  * moments.
   */
 object Rifs {
 
@@ -46,54 +48,54 @@ object Rifs {
   )
 
   /** Algorithm 2 (+ standard-distribution variants): append `t` injected
-    * noise columns named `__noise_<i>` and return (df, noiseCols).
+    * noise columns named `__noise_<i>` to `data` and return (data, noiseCols).
     */
-  def injectColumns(df: DataFrame, features: Seq[String], t: Int,
-                    kind: InjectKind, sparsity: Int, seed: Long): (DataFrame, Seq[String]) = {
+  def injectColumns(data: LocalData, t: Int, kind: InjectKind, sparsity: Int,
+                    seed: Long): (LocalData, Seq[String]) = {
     val rnd = new Random(seed)
-    val d = features.length
-    val noiseCols = (0 until t).map(i => s"__noise_$i")
-    val exprs: Seq[Column] = kind match {
-      case InjectKind.Gaussian  => (0 until t).map(i => randn(seed + i))
-      case InjectKind.Uniform   => (0 until t).map(i => rand(seed + i) * (rnd.nextDouble() * 4 + 1))
+    val n = data.x.rows; val d = data.x.cols
+    val noise = DenseMatrix.zeros[Double](n, t)
+    /** Column `j` of the noise, `draw` evaluated once per row. */
+    def fill(j: Int)(draw: => Double): Unit = (0 until n).foreach(i => noise(i, j) = draw)
+    kind match {
+      case InjectKind.Gaussian => (0 until t).foreach(fill(_)(rnd.nextGaussian()))
+      case InjectKind.Uniform =>
+        (0 until t).foreach { j =>
+          val scale = rnd.nextDouble() * 4 + 1
+          fill(j)(rnd.nextDouble() * scale)
+        }
       case InjectKind.Bernoulli =>
-        (0 until t).map { i =>
+        (0 until t).foreach { j =>
           val p = 0.2 + 0.6 * rnd.nextDouble()
-          when(rand(seed + i) < p, 1.0).otherwise(0.0)
+          fill(j)(if (rnd.nextDouble() < p) 1.0 else 0.0)
         }
       case InjectKind.Poisson =>
-        // Inverse-CDF Poisson(λ∈[1,5]) via a when-chain over a fixed table.
-        (0 until t).map { i =>
+        // Inverse CDF of Poisson(λ ∈ [1,5]) over a table up to 15.
+        (0 until t).foreach { j =>
           val lam = 1.0 + 4.0 * rnd.nextDouble()
           val pmf = (0 to 14).scanLeft(math.exp(-lam)) { (p, k) => p * lam / (k + 1) }.tail
           val cdf = pmf.scanLeft(0.0)(_ + _).tail
-          val u = rand(seed + i)
-          cdf.zipWithIndex.foldRight(lit(15.0): Column) { case ((c, k), acc) =>
-            when(u < c, k.toDouble).otherwise(acc)
+          fill(j) {
+            val u = rnd.nextDouble()
+            val k = cdf.indexWhere(u < _)
+            if (k < 0) 15.0 else k.toDouble
           }
         }
       case InjectKind.MomentMatched =>
         val s = math.min(sparsity, d)
-        // µ + Σ gᵢ(Aᵢ − µ) = µ·(1 − Σgᵢ) + Σ gᵢ·Aᵢ — reference a single
-        // materialized row-mean column instead of inlining the d-term mean
-        // expression into every product (which makes Catalyst analysis
-        // quadratic in d·t).
-        (0 until t).map { _ =>
-          val subset = rnd.shuffle(features.toList).take(s)
+        val rowMean = sum(data.x(*, ::)) / d.toDouble
+        // µ + Σ gᵢ(Aᵢ − µ) = µ·(1 − Σgᵢ) + Σ gᵢ·Aᵢ.
+        (0 until t).foreach { j =>
+          val subset = rnd.shuffle((0 until d).toList).take(s)
           val scale = 1.0 / math.sqrt(s.toDouble)
           val gs = subset.map(f => f -> rnd.nextGaussian() * scale)
-          val linear = gs.map { case (f, g) => col(f) * g }.reduce(_ + _)
-          col("__rowmean") * (1.0 - gs.map(_._2).sum) + linear
+          val sample = rowMean * (1.0 - gs.map(_._2).sum)
+          gs.foreach { case (f, g) => axpy(g, data.x(::, f), sample) }
+          noise(::, j) := sample
         }
     }
-    val withMean =
-      if (kind == InjectKind.MomentMatched)
-        df.withColumn("__rowmean", features.map(col(_)).reduce(_ + _) / d.toDouble)
-      else df
-    val out = withMean
-      .select(withMean.columns.map(col).toSeq ++ noiseCols.zip(exprs).map { case (n, e) => e.as(n) }: _*)
-      .drop("__rowmean")
-    (out, noiseCols)
+    val names = (0 until t).map(i => s"__noise_$i")
+    (data.withColumns(names, noise), names)
   }
 
   /** Rank-normalize scores to [0,1]: worst → 0, best → 1. */
@@ -109,19 +111,19 @@ object Rifs {
     * *all* injected noise features under the aggregate (ν·RF + (1−ν)·SR)
     * ranking.
     */
-  def noiseOutrankFractions(df: DataFrame, features: Seq[String], target: String,
-                            task: TaskKind, cfg: RifsConfig, seed: Long): Array[Double] = {
-    val d = features.length
+  def noiseOutrankFractions(data: LocalData, task: TaskKind, cfg: RifsConfig,
+                            seed: Long): Array[Double] = {
+    val d = data.features.length
     // At least 3 injected features: a single noise column is too weak a
     // baseline for the "ahead of ALL noise" test on small batches.
     val t = math.max(3, math.ceil(cfg.eta * d).toInt)
     val counts = Array.fill(d)(0.0)
     val sr = new Rankers.SparseRegressionRanker(cfg.gamma)
     for (rep <- 0 until cfg.repeats) {
-      val (aug, noise) = injectColumns(df, features, t, cfg.inject, cfg.sparsity, seed + 1000L * rep)
-      val allFeats = features ++ noise
-      val rf  = rankNormalize(Rankers.RandomForestRanker.rank(aug, allFeats, target, task, seed + rep))
-      val srS = rankNormalize(sr.rank(aug, allFeats, target, task, seed + rep))
+      val (aug, _) = injectColumns(data, t, cfg.inject, cfg.sparsity, seed + 1000L * rep)
+      val allFeats = aug.features
+      val rf  = rankNormalize(Rankers.RandomForestRanker.rank(aug, allFeats, task, seed + rep))
+      val srS = rankNormalize(sr.rank(aug, allFeats, task, seed + rep))
       val agg = Array.tabulate(allFeats.length)(i => cfg.nu * rf(i) + (1 - cfg.nu) * srS(i))
       val maxNoise = (d until allFeats.length).map(agg).max
       var i = 0
@@ -132,12 +134,13 @@ object Rifs {
 
   /** Algorithm 3: sweep thresholds in increasing order while the holdout
     * score stays monotone; on the first decrease output the previous
-    * subset.
+    * subset. `df` is collected once; everything after runs on the driver.
     */
   def select(df: DataFrame, features: Seq[String], target: String,
              task: TaskKind, cfg: RifsConfig = RifsConfig(), seed: Long = 31L): Seq[String] = {
     if (features.isEmpty) return Nil
-    val rStar = noiseOutrankFractions(df, features, target, task, cfg, seed)
+    val data = MatrixOps.collect(df, features, target)
+    val rStar = noiseOutrankFractions(data, task, cfg, seed)
     // Before any threshold is accepted, an empty first subset means no
     // feature ever outranked the noise — prune everything.
     var prevSubset: Seq[String] = Nil
@@ -145,7 +148,7 @@ object Rifs {
     for (tau <- cfg.thresholds.sorted) {
       val s = features.zip(rStar).collect { case (f, r) if r >= tau => f }
       if (s.isEmpty) return prevSubset
-      val score = Estimator.holdoutScore(df, s, target, task, seed)
+      val score = Estimator.holdoutScore(data, s, task, seed)
       if (score < prevScore) return prevSubset
       prevSubset = s; prevScore = score
     }

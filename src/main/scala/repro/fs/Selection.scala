@@ -1,15 +1,15 @@
 package repro.fs
 
-import org.apache.spark.sql.DataFrame
-
 import repro.core.TaskKind
 import repro.ml.Estimator
+import repro.ml.MatrixOps.LocalData
 
 /** Subset-selection strategies over a ranking (§5, §6.3): the paper's
   * modified exponential search (repeated doubling + binary search),
   * forward selection, backward elimination, and recursive feature
-  * elimination. All evaluate candidate subsets with the fast holdout
-  * estimator.
+  * elimination. All run on the selector's collected coreset matrix and
+  * evaluate candidate subsets with the fast holdout estimator on it, so a
+  * search makes no Spark jobs.
   */
 object Selection {
 
@@ -23,11 +23,11 @@ object Selection {
     * the holdout score decreases at 2^k, then binary-search (2^{k−1}, 2^k];
     * returns the best prefix observed.
     */
-  def exponentialSearch(df: DataFrame, ordered: Seq[String], target: String,
-                        task: TaskKind, seed: Long): Seq[String] = {
+  def exponentialSearch(data: LocalData, ordered: Seq[String], task: TaskKind,
+                        seed: Long): Seq[String] = {
     val d = ordered.length
     if (d <= 2) return ordered
-    def eval(sz: Int): Double = Estimator.holdoutScore(df, ordered.take(sz), target, task, seed)
+    def eval(sz: Int): Double = Estimator.holdoutScore(data, ordered.take(sz), task, seed)
     var best = (2, eval(2))
     var prevSz = 2; var prevScore = best._2
     var sz = 4
@@ -55,12 +55,12 @@ object Selection {
     * number of model fits (the paper notes this trains the model up to n
     * times and is an order of magnitude slower than RIFS).
     */
-  def forward(df: DataFrame, ordered: Seq[String], target: String,
-              task: TaskKind, seed: Long, cap: Int = 40): Seq[String] = {
+  def forward(data: LocalData, ordered: Seq[String], task: TaskKind,
+              seed: Long, cap: Int = 40): Seq[String] = {
     var kept = Vector.empty[String]
     var best = Double.MinValue
     for (f <- ordered.take(cap)) {
-      val s = Estimator.holdoutScore(df, kept :+ f, target, task, seed)
+      val s = Estimator.holdoutScore(data, kept :+ f, task, seed)
       if (s > best) { best = s; kept = kept :+ f }
     }
     if (kept.isEmpty) ordered.take(1) else kept
@@ -69,13 +69,13 @@ object Selection {
   /** Backward elimination: start from all features, try removing from the
     * worst-ranked end; keep a removal when the score does not drop.
     */
-  def backward(df: DataFrame, ordered: Seq[String], target: String,
-               task: TaskKind, seed: Long, cap: Int = 40): Seq[String] = {
+  def backward(data: LocalData, ordered: Seq[String], task: TaskKind,
+               seed: Long, cap: Int = 40): Seq[String] = {
     var kept = ordered.toVector
-    var best = Estimator.holdoutScore(df, kept, target, task, seed)
+    var best = Estimator.holdoutScore(data, kept, task, seed)
     for (f <- ordered.reverse.take(cap) if kept.length > 1) {
       val trial = kept.filterNot(_ == f)
-      val s = Estimator.holdoutScore(df, trial, target, task, seed)
+      val s = Estimator.holdoutScore(data, trial, task, seed)
       if (s >= best) { best = s; kept = trial }
     }
     kept
@@ -84,17 +84,17 @@ object Selection {
   /** Recursive feature elimination with the Random Forest ranker: re-rank,
     * drop the bottom `dropFrac`, repeat; return the best subset observed.
     */
-  def rfe(df: DataFrame, features: Seq[String], target: String,
-          task: TaskKind, seed: Long, dropFrac: Double = 0.5): Seq[String] = {
+  def rfe(data: LocalData, features: Seq[String], task: TaskKind,
+          seed: Long, dropFrac: Double = 0.5): Seq[String] = {
     var cur = features.toVector
-    var best = (cur, Estimator.holdoutScore(df, cur, target, task, seed))
+    var best = (cur, Estimator.holdoutScore(data, cur, task, seed))
     while (cur.length > 2) {
-      val scores = Rankers.RandomForestRanker.rank(df, cur, target, task, seed)
+      val scores = Rankers.RandomForestRanker.rank(data, cur, task, seed)
       // Always strictly shrink (ceil can otherwise keep the set fixed).
       val keepN = math.max(2,
         math.min(cur.length - 1, math.ceil(cur.length * (1 - dropFrac)).toInt))
       cur = orderByScore(cur, scores).take(keepN).toVector
-      val s = Estimator.holdoutScore(df, cur, target, task, seed)
+      val s = Estimator.holdoutScore(data, cur, task, seed)
       if (s > best._2) best = (cur, s)
     }
     best._1

@@ -10,13 +10,15 @@ import org.apache.spark.sql.functions._
 import repro.core.TaskKind
 
 /** The paper's fixed estimator (§7), a Random Forest, and the one place
-  * that assembles a feature vector, builds a forest for a task and scores
-  * predictions. Scores follow a higher-is-better convention:
-  * classification → holdout accuracy, regression → negative holdout MAE.
+  * that builds a forest for a task and scores predictions. Scores follow a
+  * higher-is-better convention: classification → holdout accuracy,
+  * regression → negative holdout MAE.
   *
   * `holdoutScore` (the `FastTrees` × `FastDepth` forest) is the cheap
-  * inner-loop evaluator used by wrapper selectors; `autoScore` fits the
-  * fixed, larger `FinalTrees` × `FinalDepth` forest for final estimates.
+  * inner-loop evaluator used by wrapper selectors: it runs the driver-side
+  * [[LocalForest]] on a collected coreset matrix. `autoScore` fits the
+  * fixed, larger `FinalTrees` × `FinalDepth` Spark ML forest on the full
+  * base table for final estimates.
   */
 object Estimator {
 
@@ -31,9 +33,11 @@ object Estimator {
   val FinalTrees = 60
   val FinalDepth = 8
 
-  /** Few split bins: MLlib RF split-stats scale as nodes × features ×
-    * bins; 8 bins keeps wide-frame (500+-feature) fits from shipping
-    * tens-of-MB task binaries, with no accuracy gain at this data scale.
+  /** Split bins per column, for both forests: the Spark ML one (whose
+    * split stats scale as nodes × features × bins, so 8 bins keeps
+    * wide-frame fits from shipping tens-of-MB task binaries) and the
+    * [[LocalForest]], which cuts each column of a coreset matrix at the
+    * same quantile thresholds once per matrix.
     */
   val Bins = 8
 
@@ -50,9 +54,12 @@ object Estimator {
      tagged.filter(col("__u") >= 0.7).drop("__u"))
   }
 
-  /** Nulls filled with 0 and `features` assembled into [[FeaturesCol]].
-    * coalesce(4): coreset-scale frames spread over many partitions spend
-    * more time scheduling tiny tasks per tree level than computing.
+  /** Nulls filled with 0 and `features` assembled into [[FeaturesCol]],
+    * for the Spark ML models: the final estimate, AutoML-lite and the
+    * linear rankers. coalesce(4): frames spread over many partitions spend
+    * more time scheduling tiny tasks per tree level than computing. It
+    * groups cached partitions by block location, so a first fit over an
+    * unfilled cache can see another row order than later fits.
     */
   def assemble(df: DataFrame, features: Seq[String]): DataFrame =
     new VectorAssembler().setInputCols(features.toArray).setOutputCol(FeaturesCol)
@@ -79,14 +86,19 @@ object Estimator {
     case TaskKind.Regression     => -mae(pred, target, PredictionCol)
   }
 
-  /** Train an RF with the given shape and return the holdout score. */
-  private def fitScore(train: DataFrame, test: DataFrame, features: Seq[String],
-                       target: String, task: TaskKind,
-                       trees: Int, depth: Int, seed: Long): Double = {
-    val trA = assemble(train, features)
-    val teA = assemble(test, features)
-    val model = forest(task, target, trees, depth, seed).fit(trA)
-    score(task, model.transform(teA), target)
+  /** Higher-is-better score of `predicted` against `actual`, on the
+    * driver: accuracy, or −MAE (the DataFrame metrics' empty-input values
+    * on no rows).
+    */
+  def score(task: TaskKind, predicted: Array[Double], actual: Array[Double]): Double = {
+    val n = actual.length
+    task match {
+      case TaskKind.Classification =>
+        if (n == 0) 0.0 else predicted.indices.count(i => predicted(i) == actual(i)).toDouble / n
+      case TaskKind.Regression =>
+        if (n == 0) -Double.MaxValue
+        else -predicted.indices.map(i => math.abs(actual(i) - predicted(i))).sum / n
+    }
   }
 
   /** Accuracy of a prediction column against the label. */
@@ -101,12 +113,24 @@ object Estimator {
     if (r.isNullAt(0)) Double.MaxValue else r.getDouble(0)
   }
 
-  /** One fixed-config RF holdout score — the wrapper-loop workhorse. */
+  /** One fixed-config RF holdout score — the wrapper-loop workhorse.
+    * Collects `features` and `target` and fits on the driver.
+    */
   def holdoutScore(df: DataFrame, features: Seq[String], target: String,
-                   task: TaskKind, seed: Long = 17L): Double = {
+                   task: TaskKind, seed: Long = 17L): Double =
+    if (features.isEmpty) Double.MinValue
+    else holdoutScore(MatrixOps.collect(df, features, target), features, task, seed)
+
+  /** The holdout score of the `FastTrees` × `FastDepth` [[LocalForest]]
+    * over the columns `features` of a collected matrix, on its seeded
+    * 70/30 row split.
+    */
+  def holdoutScore(data: MatrixOps.LocalData, features: Seq[String],
+                   task: TaskKind, seed: Long): Double = {
     if (features.isEmpty) return Double.MinValue
-    val (tr, te) = split(df, seed)
-    fitScore(tr, te, features, target, task, FastTrees, FastDepth, seed)
+    val (train, test) = LocalForest.split(data.y.length, seed)
+    val model = LocalForest.fit(data, features, train, task, FastTrees, FastDepth, seed)
+    score(task, test.map(model.predict(data.x, _)), test.map(data.y(_)))
   }
 
   /** The final estimate: holdout score of the `FinalTrees` × `FinalDepth`
@@ -116,6 +140,7 @@ object Estimator {
                 task: TaskKind, seed: Long = 17L): Double = {
     if (features.isEmpty) return Double.MinValue
     val (tr, te) = split(df, seed)
-    fitScore(tr, te, features, target, task, FinalTrees, FinalDepth, seed)
+    val model = forest(task, target, FinalTrees, FinalDepth, seed).fit(assemble(tr, features))
+    score(task, model.transform(assemble(te, features)), target)
   }
 }

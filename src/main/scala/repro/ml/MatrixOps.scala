@@ -6,15 +6,38 @@ import org.apache.spark.sql.functions._
 
 /** Bridge between DataFrames and driver-local Breeze matrices.
   *
-  * Solver-style components (ℓ2,1 sparse regression, Relief) run on the
-  * driver over the *coreset* — the coreset exists precisely to make these
-  * cheap (§3.1) — so collecting here is by design, not an accident.
+  * The whole selection loop runs on the driver over the *coreset* — the
+  * coreset exists precisely to make this cheap (§3.1). Every selector
+  * collects its input once per call into a [[LocalData]] and hands that one
+  * matrix to every ranker (the local Random Forest, ℓ2,1 sparse
+  * regression, Relief) and every holdout fit, so collecting here is by
+  * design, not an accident.
   */
 object MatrixOps {
 
-  /** A collected design matrix: rows × features, plus the target vector. */
+  /** A collected design matrix: rows × features, plus the target vector.
+    * Treat it as immutable: the per-column bins of the local forest are
+    * computed from it once, on first use.
+    */
   final case class LocalData(x: DenseMatrix[Double], y: DenseVector[Double],
-                             features: Seq[String])
+                             features: Seq[String]) {
+    private lazy val index: Map[String, Int] = features.zipWithIndex.toMap
+
+    /** Column of `feature` in `x`. */
+    def indexOf(feature: String): Int = index(feature)
+
+    /** Every column cut into [[Estimator.Bins]] quantile bins. */
+    lazy val binned: IndexedSeq[LocalForest.Binned] =
+      (0 until x.cols).map(j => LocalForest.bin(x(::, j).toArray, Estimator.Bins))
+
+    /** A fresh copy of the columns `of`, in that order. */
+    def columns(of: Seq[String]): DenseMatrix[Double] =
+      x(::, of.map(indexOf)).toDenseMatrix
+
+    /** This matrix with the columns of `extra` appended as `names`. */
+    def withColumns(names: Seq[String], extra: DenseMatrix[Double]): LocalData =
+      LocalData(DenseMatrix.horzcat(x, extra), y, features ++ names)
+  }
 
   /** Collect `features` and `target` of `df` into local matrices; nulls
     * (which Preprocess should have removed) default to 0.

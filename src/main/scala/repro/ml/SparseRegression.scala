@@ -1,6 +1,6 @@
 package repro.ml
 
-import breeze.linalg.{DenseMatrix, DenseVector, diag, norm}
+import breeze.linalg.{*, DenseMatrix, DenseVector, diag, norm}
 
 import repro.core.TaskKind
 
@@ -66,8 +66,10 @@ object SparseRegression {
       val dDiag = DenseVector.tabulate(d) { j =>
         1.0 / (2.0 * math.max(eps, norm(w(j, ::).t)))
       }
-      // W = (Xᵀ E X + γ D)⁻¹ Xᵀ E Y  (E, D diagonal).
-      val xe = x.t * diag(eDiag)        // d×n
+      // W = (Xᵀ E X + γ D)⁻¹ Xᵀ E Y  (E, D diagonal). Xᵀ E scales the
+      // columns of Xᵀ; a product with an n×n DiagonalMatrix would take
+      // O(d·n²) here.
+      val xe = (x(::, *) *:* eDiag).t   // d×n
       val a  = xe * x + diag(dDiag) * gamma
       val b  = xe * y
       w = a \ b

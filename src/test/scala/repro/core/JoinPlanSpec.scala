@@ -45,6 +45,17 @@ class JoinPlanSpec extends SparkSpec {
     assert(JoinPlan.tupleRatio(12L, cand("t", f)) == 4.0)
   }
 
+  test("tuple ratio's distinct-key count matches DuckDB on a composite key") {
+    val f = Seq[(Option[Long], String, Double)](
+      (Some(1L), "a", 1.0), (Some(1L), "a", 2.0), (Some(1L), "b", 3.0),
+      (Some(2L), "a", 4.0), (None, "a", 5.0), (None, "a", 6.0), (Some(3L), "c", 7.0))
+      .toDF("fk1", "fk2", "v")
+    val c = CandidateJoin("t", f, Seq(KeyPair("k1", "fk1", KeyKind.Hard), KeyPair("k2", "fk2", KeyKind.Hard)))
+    Oracle.assertEquivalent(Seq(JoinPlan.tupleRatio(30L, c)).toDF("tr"),
+      "SELECT CAST(30 AS DOUBLE) / COUNT(*) AS tr FROM (SELECT DISTINCT fk1, fk2 FROM f)",
+      "f" -> f)
+  }
+
   test("trFilter removes candidates with TR >= tau") {
     val small = Seq(1L, 2L).toDF("fk")       // TR = 100/2 = 50
     val big = (1L to 100L).toDF("fk")        // TR = 1

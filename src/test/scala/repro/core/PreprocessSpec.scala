@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 
 class PreprocessSpec extends SparkSpec {
   import spark.implicits._
@@ -24,6 +24,38 @@ class PreprocessSpec extends SparkSpec {
     // most frequent level "a" maps to indicator 0
     assert(out.agg(sum("s__is_0")).head.getDouble(0) == 3.0)
     assert(out.agg(sum("s__is_1")).head.getDouble(0) == 2.0)
+  }
+
+  test("binarize's level ranking matches DuckDB GROUP BY, ORDER BY count, value") {
+    // Eleven levels with tied counts: the top 8 by count, ties by value.
+    val counts = Seq("k" -> 5, "b" -> 3, "e" -> 3, "a" -> 3, "j" -> 2, "c" -> 2,
+                     "i" -> 2, "d" -> 1, "h" -> 1, "f" -> 1, "g" -> 1)
+    val df = (counts.flatMap { case (v, n) => Seq.fill(n)(Option(v)) } ++ Seq(None, None))
+      .toDF("s")
+    val out = Preprocess.binarize(df.withColumn("orig", col("s")), Seq("s"))
+    val ranked = (0 until 8).map { i =>
+      out.filter(col(s"s__is_$i") === 1.0).select(col("orig").as("lvl"), lit(i.toLong).as("pos"))
+    }.reduce(_ union _).distinct()
+    Oracle.assertEquivalent(ranked,
+      """SELECT lvl, pos FROM (
+        |  SELECT s AS lvl, ROW_NUMBER() OVER (ORDER BY COUNT(*) DESC, s) - 1 AS pos
+        |  FROM t WHERE s IS NOT NULL GROUP BY s)
+        |WHERE pos < 8""".stripMargin,
+      "t" -> df)
+  }
+
+  test("median imputation matches DuckDB MEDIAN on an odd number of values") {
+    val df = Seq[(Long, Option[Double], Option[Double])](
+      (1L, Some(4.0), Some(10.0)), (2L, None, Some(-2.0)), (3L, Some(1.5), None),
+      (4L, Some(9.0), Some(7.0)), (5L, Some(-3.0), None), (6L, None, Some(0.5)),
+      (7L, Some(2.0), Some(3.0)), (8L, Some(8.0), None), (9L, Some(6.5), None))
+      .toDF("id", "x", "z")
+    Oracle.assertEquivalent(Preprocess.impute(df, Seq("x", "z")),
+      """SELECT id,
+        |  COALESCE(CAST(x AS DOUBLE), (SELECT MEDIAN(CAST(x AS DOUBLE)) FROM t)) AS x,
+        |  COALESCE(CAST(z AS DOUBLE), (SELECT MEDIAN(CAST(z AS DOUBLE)) FROM t)) AS z
+        |FROM t""".stripMargin,
+      "t" -> df)
   }
 
   test("binarize rare level becomes all-zero row") {
@@ -51,6 +83,19 @@ class PreprocessSpec extends SparkSpec {
     assert(out.filter(col("s").isNull).count() == 0)
     val filled = out.select("s").collect().map(_.getString(0)).toSet
     assert(filled.subsetOf(Set("a", "b")))
+  }
+
+  test("categorical imputation draws from the 64 smallest observed values at any partitioning") {
+    val values = (0 until 200).map(i => f"v$i%03d")
+    val smallest = values.take(64).toSet
+    val rows = (values.map(Option(_)) ++ Seq.fill(100)(None)).zipWithIndex
+    for (parts <- Seq(1, 5)) {
+      val df = rows.toDF("s", "row").repartition(parts)
+      val imputed = Preprocess.impute(df, Seq("s")).filter(col("row") >= values.size)
+        .select("s").collect().map(_.getString(0))
+      assert(imputed.length == 100)
+      assert(imputed.forall(smallest), s"$parts partitions: ${imputed.filterNot(smallest).distinct.take(5).toSeq}")
+    }
   }
 
   test("impute leaves non-null values untouched") {

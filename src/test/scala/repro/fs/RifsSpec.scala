@@ -3,6 +3,7 @@ package repro.fs
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.TaskKind
+import repro.ml.MatrixOps
 
 class RifsSpec extends SparkSpec {
   import spark.implicits._
@@ -17,43 +18,45 @@ class RifsSpec extends SparkSpec {
   private val feats = Seq("s1", "s2", "n1", "n2", "n3", "n4", "n5")
   private val fastCfg = Rifs.RifsConfig(repeats = 3, thresholds = Seq(0.5, 1.0))
 
+  private lazy val clsData = MatrixOps.collect(cls, feats, "y")
+
+  /** Column `c` of a collected matrix. */
+  private def column(data: MatrixOps.LocalData, c: String): Array[Double] =
+    data.columns(Seq(c)).toArray
+
   test("injectColumns appends the requested number of noise columns") {
     for (kind <- Seq(Rifs.InjectKind.Gaussian, Rifs.InjectKind.Uniform,
                      Rifs.InjectKind.Bernoulli, Rifs.InjectKind.Poisson,
                      Rifs.InjectKind.MomentMatched)) {
-      val (out, noise) = Rifs.injectColumns(cls, feats, 3, kind, 4, 1L)
+      val (out, noise) = Rifs.injectColumns(clsData, 3, kind, 4, 1L)
       assert(noise == Seq("__noise_0", "__noise_1", "__noise_2"))
-      assert(out.count() == cls.count())
-      noise.foreach(c => assert(out.schema.fieldNames.contains(c)))
+      assert(out.x.rows == cls.count())
+      noise.foreach(c => assert(out.features.contains(c)))
     }
   }
 
   test("Bernoulli injection is 0/1 valued") {
-    val (out, noise) = Rifs.injectColumns(cls, feats, 2, Rifs.InjectKind.Bernoulli, 4, 2L)
-    val vals = out.select(noise.head).distinct().collect().map(_.getDouble(0)).toSet
-    assert(vals.subsetOf(Set(0.0, 1.0)))
+    val (out, noise) = Rifs.injectColumns(clsData, 2, Rifs.InjectKind.Bernoulli, 4, 2L)
+    assert(column(out, noise.head).toSet.subsetOf(Set(0.0, 1.0)))
   }
 
   test("Poisson injection is nonnegative integer valued") {
-    val (out, noise) = Rifs.injectColumns(cls, feats, 2, Rifs.InjectKind.Poisson, 4, 3L)
-    val ok = out.select(noise.head).collect().map(_.getDouble(0))
-      .forall(v => v >= 0 && v == math.rint(v))
-    assert(ok)
+    val (out, noise) = Rifs.injectColumns(clsData, 2, Rifs.InjectKind.Poisson, 4, 3L)
+    assert(column(out, noise.head).forall(v => v >= 0 && v == math.rint(v)))
   }
 
   test("moment-matched injection approximately matches the empirical row mean") {
     // E[sample] = per-row mean of the feature columns.
-    val (out, noise) = Rifs.injectColumns(cls, feats, 30, Rifs.InjectKind.MomentMatched, 7, 4L)
-    val rowMeanAvg = cls.select((feats.map(col).reduce(_ + _) / feats.length).as("m"))
-      .agg(avg("m")).head.getDouble(0)
-    val injAvg = out.select((noise.map(col).reduce(_ + _) / noise.length).as("m"))
-      .agg(avg("m")).head.getDouble(0)
+    val (out, noise) = Rifs.injectColumns(clsData, 30, Rifs.InjectKind.MomentMatched, 7, 4L)
+    def avgOfRowMeans(cols: Seq[String]): Double =
+      cols.map(column(out, _).sum).sum / cols.length / out.x.rows
+    val rowMeanAvg = avgOfRowMeans(feats)
+    val injAvg = avgOfRowMeans(noise)
     assert(math.abs(injAvg - rowMeanAvg) < 0.4, s"$injAvg vs $rowMeanAvg")
   }
 
   test("noiseOutrankFractions scores signal near 1 and noise lower") {
-    val r = Rifs.noiseOutrankFractions(cls, feats, "y", TaskKind.Classification,
-                                       fastCfg, seed = 5L)
+    val r = Rifs.noiseOutrankFractions(clsData, TaskKind.Classification, fastCfg, seed = 5L)
     val byName = feats.zip(r).toMap
     assert(byName("s1") >= 0.66, s"s1 fraction ${byName("s1")}")
     val noiseAvg = Seq("n1", "n2", "n3", "n4", "n5").map(byName).sum / 5

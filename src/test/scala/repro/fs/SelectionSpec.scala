@@ -3,6 +3,7 @@ package repro.fs
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.TaskKind
+import repro.ml.MatrixOps
 
 class SelectionSpec extends SparkSpec {
   import spark.implicits._
@@ -15,59 +16,61 @@ class SelectionSpec extends SparkSpec {
 
   private val ordered = Seq("s1", "s2", "n1", "n2", "n3", "n4")
 
+  private lazy val data = MatrixOps.collect(df, ordered, "y")
+
   test("orderByScore sorts descending with deterministic ties") {
     val out = Selection.orderByScore(Seq("a", "b", "c"), Array(0.1, 0.9, 0.1))
     assert(out == Seq("b", "a", "c"))
   }
 
   test("exponential search returns a prefix of the ranking") {
-    val sel = Selection.exponentialSearch(df, ordered, "y", TaskKind.Classification, 1L)
+    val sel = Selection.exponentialSearch(data, ordered, TaskKind.Classification, 1L)
     assert(sel == ordered.take(sel.length))
     assert(sel.nonEmpty)
   }
 
   test("exponential search keeps the signal prefix") {
-    val sel = Selection.exponentialSearch(df, ordered, "y", TaskKind.Classification, 1L)
+    val sel = Selection.exponentialSearch(data, ordered, TaskKind.Classification, 1L)
     assert(sel.contains("s1"))
   }
 
   test("exponential search handles tiny feature sets") {
-    assert(Selection.exponentialSearch(df, Seq("s1"), "y", TaskKind.Classification, 1L) == Seq("s1"))
-    assert(Selection.exponentialSearch(df, Seq("s1", "s2"), "y", TaskKind.Classification, 1L)
+    assert(Selection.exponentialSearch(data, Seq("s1"), TaskKind.Classification, 1L) == Seq("s1"))
+    assert(Selection.exponentialSearch(data, Seq("s1", "s2"), TaskKind.Classification, 1L)
       == Seq("s1", "s2"))
   }
 
   test("forward selection keeps improving features only") {
-    val sel = Selection.forward(df, ordered, "y", TaskKind.Classification, 1L, cap = 6)
+    val sel = Selection.forward(data, ordered, TaskKind.Classification, 1L, cap = 6)
     assert(sel.contains("s1"))
     assert(sel.length < ordered.length)
   }
 
   test("forward selection never returns empty") {
     val noise = Seq("n1", "n2")
-    val sel = Selection.forward(df, noise, "y", TaskKind.Classification, 1L, cap = 2)
+    val sel = Selection.forward(data, noise, TaskKind.Classification, 1L, cap = 2)
     assert(sel.nonEmpty)
   }
 
   test("backward elimination keeps the signal") {
-    val sel = Selection.backward(df, ordered, "y", TaskKind.Classification, 1L, cap = 6)
+    val sel = Selection.backward(data, ordered, TaskKind.Classification, 1L, cap = 6)
     assert(sel.contains("s1"))
   }
 
   test("backward elimination removes at least one noise feature") {
-    val sel = Selection.backward(df, ordered, "y", TaskKind.Classification, 1L, cap = 6)
+    val sel = Selection.backward(data, ordered, TaskKind.Classification, 1L, cap = 6)
     assert(sel.length < ordered.length)
   }
 
   test("RFE keeps the signal and shrinks the set") {
-    val sel = Selection.rfe(df, ordered, "y", TaskKind.Classification, 1L)
+    val sel = Selection.rfe(data, ordered, TaskKind.Classification, 1L)
     assert(sel.contains("s1"))
     assert(sel.length <= ordered.length)
   }
 
   test("selection strategies are deterministic in the seed") {
-    val a = Selection.exponentialSearch(df, ordered, "y", TaskKind.Classification, 5L)
-    val b = Selection.exponentialSearch(df, ordered, "y", TaskKind.Classification, 5L)
+    val a = Selection.exponentialSearch(data, ordered, TaskKind.Classification, 5L)
+    val b = Selection.exponentialSearch(data, ordered, TaskKind.Classification, 5L)
     assert(a == b)
   }
 }

@@ -1,0 +1,123 @@
+package repro.ml
+
+import org.apache.spark.ml.classification.RandomForestClassificationModel
+import org.apache.spark.ml.regression.RandomForestRegressionModel
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
+import repro.SparkSpec
+import repro.core.TaskKind
+
+class LocalForestSpec extends SparkSpec {
+  import Estimator.{FastDepth, FastTrees}
+
+  private val feats = Seq("s1", "s2", "n1", "n2", "n3", "n4")
+  private val planted = Set("s1", "s2")
+
+  private def fixture(label: DataFrame => DataFrame): DataFrame = {
+    val d = label(spark.range(0, 900, 1, 4).toDF()).select(
+      col("y"), col("s1"), col("s2"),
+      randn(21).as("n1"), randn(22).as("n2"), randn(23).as("n3"), randn(24).as("n4")).cache()
+    d.count(); d
+  }
+
+  private lazy val binary = fixture(_.withColumn("y", (col("id") % 2).cast("double"))
+    .withColumn("s1", col("y") * 1.2 + randn(1) * 0.8)
+    .withColumn("s2", col("y") * 0.8 + randn(2) * 0.8))
+
+  private lazy val threeClass = fixture(_.withColumn("y", (col("id") % 3).cast("double"))
+    .withColumn("s1", col("y") + randn(3) * 0.6)
+    .withColumn("s2", when(col("y") === 1.0, 1.5).otherwise(0.0) + randn(4) * 0.6))
+
+  private lazy val regression = fixture(_.withColumn("s1", randn(5)).withColumn("s2", randn(6))
+    .withColumn("y", col("s1") * 2 + col("s2") + randn(7) * 0.5))
+
+  /** Both forests at the same trees, depth and seed on the same 70/30
+    * split: (Spark ML score, local score, Spark ML importances, local
+    * importances).
+    */
+  private def bothForests(df: DataFrame, task: TaskKind,
+                          seed: Long): (Double, Double, Array[Double], Array[Double]) = {
+    val (tr, te) = Estimator.split(df, seed)
+    val sparkModel = Estimator.forest(task, "y", FastTrees, FastDepth, seed)
+      .fit(Estimator.assemble(tr, feats))
+    val sparkScore = Estimator.score(task, sparkModel.transform(Estimator.assemble(te, feats)), "y")
+    val sparkImp = sparkModel match {
+      case m: RandomForestClassificationModel => m.featureImportances.toArray
+      case m: RandomForestRegressionModel     => m.featureImportances.toArray
+    }
+    val (train, test) = (MatrixOps.collect(tr, feats, "y"), MatrixOps.collect(te, feats, "y"))
+    val local = LocalForest.fit(train, feats, Array.range(0, train.x.rows), task,
+                                FastTrees, FastDepth, seed)
+    val localScore = Estimator.score(task, Array.tabulate(test.x.rows)(local.predict(test.x, _)),
+                                     test.y.toArray)
+    (sparkScore, localScore, sparkImp, local.importances)
+  }
+
+  private def topK(imp: Seq[Double], k: Int): Set[String] =
+    feats.zip(imp).sortBy(-_._2).take(k).map(_._1).toSet
+
+  /** Compares the two forests over five seeds: with two of six features
+    * per node, one 25-tree fit's holdout MAE varies by about ±10% with the
+    * seed for either forest, so single fits are too noisy to compare.
+    */
+  private def checkParity(df: DataFrame, task: TaskKind): Unit = {
+    val runs = (1L to 5L).map(bothForests(df, task, _))
+    val sparkScore = runs.map(_._1).sum / runs.size
+    val localScore = runs.map(_._2).sum / runs.size
+    task match {
+      case TaskKind.Classification =>
+        assert(math.abs(localScore - sparkScore) <= 0.05, s"accuracy local $localScore vs Spark ML $sparkScore")
+      case TaskKind.Regression =>
+        val (localMae, sparkMae) = (-localScore, -sparkScore)
+        assert(math.abs(localMae - sparkMae) <= 0.1 * sparkMae, s"MAE local $localMae vs Spark ML $sparkMae")
+    }
+    val sparkImp = feats.indices.map(j => runs.map(_._3(j)).sum)
+    val localImp = feats.indices.map(j => runs.map(_._4(j)).sum)
+    assert(topK(sparkImp, planted.size) == planted, s"Spark ML importances $sparkImp")
+    assert(topK(localImp, planted.size) == planted, s"local importances $localImp")
+    runs.foreach(r => assert(math.abs(r._4.sum - 1.0) < 1e-9))
+  }
+
+  test("binary classification matches Spark ML RF score and planted importances") {
+    checkParity(binary, TaskKind.Classification)
+  }
+
+  test("3-class classification matches Spark ML RF score and planted importances") {
+    checkParity(threeClass, TaskKind.Classification)
+  }
+
+  test("regression matches Spark ML RF MAE and planted importances") {
+    checkParity(regression, TaskKind.Regression)
+  }
+
+  test("the same seed gives bit-identical scores and importances") {
+    for ((df, task) <- Seq(binary -> TaskKind.Classification, regression -> TaskKind.Regression)) {
+      val data = MatrixOps.collect(df, feats, "y")
+      val rows = Array.range(0, data.x.rows)
+      def imp(seed: Long) = LocalForest.fit(data, feats, rows, task, FastTrees, FastDepth, seed).importances.toSeq
+      assert(imp(3L) == imp(3L))
+      assert(imp(3L) != imp(4L))
+      assert(Estimator.holdoutScore(data, feats, task, 3L) == Estimator.holdoutScore(data, feats, task, 3L))
+      assert(Estimator.holdoutScore(df, feats, "y", task, 3L) == Estimator.holdoutScore(data, feats, task, 3L))
+    }
+  }
+
+  test("bins follow Spark ML's quantile split search") {
+    // At most Bins − 1 distinct gaps: every midpoint.
+    assert(LocalForest.bin(Array(3.0, 1.0, 2.0, 1.0), Estimator.Bins).thresholds.toSeq == Seq(1.5, 2.5))
+    // Many distinct values: Bins − 1 thresholds, codes agree with them.
+    val values = Array.tabulate(800)(i => (i * 37 % 800).toDouble)
+    val b = LocalForest.bin(values, Estimator.Bins)
+    assert(b.thresholds.length == Estimator.Bins - 1)
+    assert(b.thresholds.toSeq == b.thresholds.sorted.toSeq)
+    values.indices.foreach(i => assert(b.codes(i) == b.thresholds.count(_ < values(i))))
+    assert(LocalForest.bin(Array.fill(5)(2.0), Estimator.Bins).nBins == 1)
+  }
+
+  test("the driver split is seeded and roughly 70/30") {
+    val (tr, te) = LocalForest.split(1000, 9L)
+    assert(LocalForest.split(1000, 9L)._1.sameElements(tr))
+    assert((tr ++ te).sorted.sameElements(0 until 1000))
+    assert(tr.length > 650 && tr.length < 750)
+  }
+}
