@@ -77,7 +77,7 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
     cfg.trTau.map(t => JoinPlan.trFilter(planned, t)).getOrElse(planned)
 
   lazy val batches: Seq[Seq[JoinPlan.PlannedJoin]] =
-    JoinPlan.group(filtered, cfg.grouping, cfg.effectiveBudget)
+    JoinPlan.group(filtered, cfg.grouping, cfg.coresetSize)
 
   /** Fold many candidate joins, truncating lineage every few joins —
     * chaining 100+ left joins in one logical plan makes Catalyst analysis

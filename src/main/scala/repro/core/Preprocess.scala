@@ -5,9 +5,9 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
 /** Post-join preprocessing (§4 "Imputation", §3.1 "binarizes categorical
-  * features"): numeric casting, one-hot binarization of categoricals, and
-  * simple imputation — median for numeric columns, a uniform random draw
-  * from the observed values for categorical columns.
+  * features"): simple imputation — median for numeric columns (cast to
+  * double), a draw from the observed values for categorical columns —
+  * followed by one-hot binarization of the categoricals.
   *
   * Everything is expressed as distributed DataFrame operations; only the
   * per-column medians / category inventories (small) reach the driver.
@@ -52,8 +52,9 @@ object Preprocess {
   }
 
   /** Impute nulls: numeric → median (via approxQuantile), categorical →
-    * uniform random draw from the column's 64 smallest observed distinct
-    * values.
+    * a draw from the column's 64 smallest observed distinct values, picked
+    * by a seeded hash of the row, so a row gets the same fill at any
+    * partitioning.
     */
   def impute(df: DataFrame, cols: Seq[String], seed: Long = 7L): DataFrame = {
     val nums = numericCols(df, cols)
@@ -81,28 +82,23 @@ object Preprocess {
         .orderBy(col(c)).limit(64).collect().map(_.get(0).toString)
       if (values.isEmpty) d.withColumn(c, coalesce(col(c), lit("∅")))
       else {
-        // rand() indexes uniformly into the observed values for null slots.
+        val rowHash = xxhash64(d.columns.map(col) :+ lit(seed + c.hashCode): _*)
         val pick: Column =
           element_at(array(values.map(lit): _*),
-                     (rand(seed + c.hashCode) * values.length + 1).cast(IntegerType))
+                     (pmod(rowHash, lit(values.length.toLong)) + 1).cast(IntegerType))
         d.withColumn(c, coalesce(col(c), pick))
       }
     }
   }
 
-  /** Full preparation of a joined table: binarize categoricals among
-    * `featureCols`, impute the result, and cast all features to double.
-    * Returns (prepared df, final numeric feature column names).
+  /** Full preparation of a joined table: impute `featureCols`, then
+    * binarize its categoricals. Returns (prepared df, the numeric features
+    * followed by the indicator columns, all doubles).
     */
   def prepare(df: DataFrame, featureCols: Seq[String], seed: Long = 7L): (DataFrame, Seq[String]) = {
     val cats   = categoricalCols(df, featureCols)
-    val binned = binarize(df, cats)
-    val feats  = featureCols.filterNot(cats.contains) ++
-      binned.columns.filter(c => cats.exists(s => c.startsWith(s + "__is_")))
-    val kept    = numericCols(binned, feats) ++ feats.filter(c => cats.exists(s => c.startsWith(s + "__is_")))
-    val keptDistinct = kept.distinct
-    val imputed = impute(binned, keptDistinct, seed)
-    val casted = keptDistinct.foldLeft(imputed)((d, c) => d.withColumn(c, col(c).cast(DoubleType)))
-    (casted, keptDistinct)
+    val binned = binarize(impute(df, featureCols, seed), cats)
+    val indicators = binned.columns.filter(c => cats.exists(s => c.startsWith(s + "__is_")))
+    (binned, (numericCols(df, featureCols) ++ indicators).distinct)
   }
 }

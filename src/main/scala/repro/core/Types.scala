@@ -99,18 +99,15 @@ final case class AugTask(
 }
 
 /** ARDA configuration (defaults follow §3–§7: uniform coreset, budget
-  * grouping with budget = coreset size, two-way NN soft joins, RIFS with
-  * 20% injected features and k = 10 repeats).
+  * grouping, two-way NN soft joins). The feature budget of a budget-join
+  * batch is the coreset size (§4 "Table grouping").
   */
 final case class ArdaConfig(
     coresetStrategy: CoresetStrategy = CoresetStrategy.Uniform,
     coresetSize: Int = 1000,
     grouping: GroupingStrategy = GroupingStrategy.BudgetJoin,
-    budget: Option[Int] = None, // default: coreset size
     softJoin: SoftJoinMethod = SoftJoinMethod.TwoWayNearestNeighbour,
     softTolerance: Option[Double] = None,
     trTau: Option[Double] = None, // Tuple-Ratio prefilter threshold
     seed: Long = 42L,
-) {
-  def effectiveBudget: Int = budget.getOrElse(coresetSize)
-}
+)

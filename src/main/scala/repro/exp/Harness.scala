@@ -1,7 +1,6 @@
 package repro.exp
 
 import java.io.{File, PrintWriter}
-import org.apache.spark.sql.SparkSession
 
 import repro.core._
 import repro.data.{MicroBench, SynthWorlds}
@@ -102,6 +101,5 @@ object Harness {
   /** Incremental progress line (benches run for minutes; print as we go). */
   def progress(s: String): Unit = { println(s"[bench] $s"); Console.flush() }
 
-  def fmt(d: Double): String = f"$d%.4f"
   def pct(d: Double): String = f"$d%+.2f%%"
 }

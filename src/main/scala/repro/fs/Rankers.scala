@@ -48,15 +48,15 @@ object Rankers {
   }
 
   /** ℓ2,1 sparse regression (Eq. 1) row-norm ranking — the paper's second
-    * ensemble member (§6.2), on standardized columns of the matrix.
+    * ensemble member (§6.2), on standardized columns of the matrix, at the
+    * solver's default γ = 0.1.
     */
-  final class SparseRegressionRanker(gamma: Double = 0.1,
-                                     robustLabels: Boolean = false) extends LocalRanker {
+  final class SparseRegressionRanker extends LocalRanker {
     val name = "sparse regression"
     def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] = {
       val x = MatrixOps.standardize(data.columns(features))
       val yMat = SparseRegression.labelMatrix(data.y, task)
-      SparseRegression.solve(x, yMat, gamma, robustLabels = robustLabels).rowNorms.toArray
+      SparseRegression.solve(x, yMat).rowNorms.toArray
     }
   }
 
@@ -142,8 +142,4 @@ object Rankers {
     def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
       Relief.weights(data.columns(features), data.y, task, seed = seed).toArray
   }
-
-  val all: Seq[Ranker] = Seq(
-    RandomForestRanker, new SparseRegressionRanker(), LassoRanker, LogisticRanker,
-    LinearSVCRanker, MutualInfoRanker, FTestRanker, ReliefRanker)
 }

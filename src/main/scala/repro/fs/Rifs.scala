@@ -12,11 +12,10 @@ import repro.ml.MatrixOps.LocalData
   *
   * Noise features are injected next to the real ones; features that do not
   * consistently outrank *all* injected noise under an ensemble ranking
-  * (Random Forest + ℓ2,1 sparse regression) are pruned. The injection
-  * distribution is either a standard one (Gaussian / Uniform / Bernoulli /
-  * Poisson) or — the default, for the hard regime where signal is a small
-  * fraction of the input — a moment-matched N(µ,Σ) over the empirical
-  * column distribution (Algorithm 2).
+  * (Random Forest + ℓ2,1 sparse regression) are pruned. The injected noise
+  * is a moment-matched N(µ,Σ) over the empirical column distribution
+  * (Algorithm 2), which keeps the test hard when signal is a small
+  * fraction of the input.
   *
   * `select` collects its input once into a coreset matrix; injection, both
   * rankings of every repeat and the threshold sweep's holdout fits all run
@@ -28,71 +27,32 @@ import repro.ml.MatrixOps.LocalData
   */
 object Rifs {
 
-  sealed trait InjectKind
-  object InjectKind {
-    case object Gaussian      extends InjectKind
-    case object Uniform       extends InjectKind
-    case object Bernoulli     extends InjectKind
-    case object Poisson       extends InjectKind
-    case object MomentMatched extends InjectKind
-  }
+  private val Eta = 0.2      // fraction of injected features
+  private val Nu = 0.5       // RF weight in the aggregate ranking
+  private val Sparsity = 32  // s — nonzeros per moment-matched sample
 
   final case class RifsConfig(
-      eta: Double = 0.2,                  // fraction of injected features
       repeats: Int = 10,                  // k in Algorithm 1
-      nu: Double = 0.5,                   // RF weight in the aggregate ranking
       thresholds: Seq[Double] = Seq(0.5, 0.7, 0.9, 1.0), // T in Algorithm 3
-      inject: InjectKind = InjectKind.MomentMatched,
-      sparsity: Int = 32,                 // s — nonzeros per moment-matched sample
-      gamma: Double = 0.1,                // ℓ2,1 regularization
   )
 
-  /** Algorithm 2 (+ standard-distribution variants): append `t` injected
-    * noise columns named `__noise_<i>` to `data` and return (data, noiseCols).
+  /** Algorithm 2: append `t` moment-matched noise columns named
+    * `__noise_<i>` to `data` and return (data, noiseCols).
     */
-  def injectColumns(data: LocalData, t: Int, kind: InjectKind, sparsity: Int,
-                    seed: Long): (LocalData, Seq[String]) = {
+  def injectColumns(data: LocalData, t: Int, seed: Long): (LocalData, Seq[String]) = {
     val rnd = new Random(seed)
     val n = data.x.rows; val d = data.x.cols
     val noise = DenseMatrix.zeros[Double](n, t)
-    /** Column `j` of the noise, `draw` evaluated once per row. */
-    def fill(j: Int)(draw: => Double): Unit = (0 until n).foreach(i => noise(i, j) = draw)
-    kind match {
-      case InjectKind.Gaussian => (0 until t).foreach(fill(_)(rnd.nextGaussian()))
-      case InjectKind.Uniform =>
-        (0 until t).foreach { j =>
-          val scale = rnd.nextDouble() * 4 + 1
-          fill(j)(rnd.nextDouble() * scale)
-        }
-      case InjectKind.Bernoulli =>
-        (0 until t).foreach { j =>
-          val p = 0.2 + 0.6 * rnd.nextDouble()
-          fill(j)(if (rnd.nextDouble() < p) 1.0 else 0.0)
-        }
-      case InjectKind.Poisson =>
-        // Inverse CDF of Poisson(λ ∈ [1,5]) over a table up to 15.
-        (0 until t).foreach { j =>
-          val lam = 1.0 + 4.0 * rnd.nextDouble()
-          val pmf = (0 to 14).scanLeft(math.exp(-lam)) { (p, k) => p * lam / (k + 1) }.tail
-          val cdf = pmf.scanLeft(0.0)(_ + _).tail
-          fill(j) {
-            val u = rnd.nextDouble()
-            val k = cdf.indexWhere(u < _)
-            if (k < 0) 15.0 else k.toDouble
-          }
-        }
-      case InjectKind.MomentMatched =>
-        val s = math.min(sparsity, d)
-        val rowMean = sum(data.x(*, ::)) / d.toDouble
-        // µ + Σ gᵢ(Aᵢ − µ) = µ·(1 − Σgᵢ) + Σ gᵢ·Aᵢ.
-        (0 until t).foreach { j =>
-          val subset = rnd.shuffle((0 until d).toList).take(s)
-          val scale = 1.0 / math.sqrt(s.toDouble)
-          val gs = subset.map(f => f -> rnd.nextGaussian() * scale)
-          val sample = rowMean * (1.0 - gs.map(_._2).sum)
-          gs.foreach { case (f, g) => axpy(g, data.x(::, f), sample) }
-          noise(::, j) := sample
-        }
+    val s = math.min(Sparsity, d)
+    val scale = 1.0 / math.sqrt(s.toDouble)
+    val rowMean = sum(data.x(*, ::)) / d.toDouble
+    // µ + Σ gᵢ(Aᵢ − µ) = µ·(1 − Σgᵢ) + Σ gᵢ·Aᵢ.
+    (0 until t).foreach { j =>
+      val subset = rnd.shuffle((0 until d).toList).take(s)
+      val gs = subset.map(f => f -> rnd.nextGaussian() * scale)
+      val sample = rowMean * (1.0 - gs.map(_._2).sum)
+      gs.foreach { case (f, g) => axpy(g, data.x(::, f), sample) }
+      noise(::, j) := sample
     }
     val names = (0 until t).map(i => s"__noise_$i")
     (data.withColumns(names, noise), names)
@@ -116,15 +76,15 @@ object Rifs {
     val d = data.features.length
     // At least 3 injected features: a single noise column is too weak a
     // baseline for the "ahead of ALL noise" test on small batches.
-    val t = math.max(3, math.ceil(cfg.eta * d).toInt)
+    val t = math.max(3, math.ceil(Eta * d).toInt)
     val counts = Array.fill(d)(0.0)
-    val sr = new Rankers.SparseRegressionRanker(cfg.gamma)
+    val sr = new Rankers.SparseRegressionRanker()
     for (rep <- 0 until cfg.repeats) {
-      val (aug, _) = injectColumns(data, t, cfg.inject, cfg.sparsity, seed + 1000L * rep)
+      val (aug, _) = injectColumns(data, t, seed + 1000L * rep)
       val allFeats = aug.features
       val rf  = rankNormalize(Rankers.RandomForestRanker.rank(aug, allFeats, task, seed + rep))
       val srS = rankNormalize(sr.rank(aug, allFeats, task, seed + rep))
-      val agg = Array.tabulate(allFeats.length)(i => cfg.nu * rf(i) + (1 - cfg.nu) * srS(i))
+      val agg = Array.tabulate(allFeats.length)(i => Nu * rf(i) + (1 - Nu) * srS(i))
       val maxNoise = (d until allFeats.length).map(agg).max
       var i = 0
       while (i < d) { if (agg(i) > maxNoise) counts(i) += 1.0; i += 1 }

@@ -82,17 +82,15 @@ object Selection {
   }
 
   /** Recursive feature elimination with the Random Forest ranker: re-rank,
-    * drop the bottom `dropFrac`, repeat; return the best subset observed.
+    * keep the top half (rounded up, at least 2), repeat; return the best
+    * subset observed.
     */
-  def rfe(data: LocalData, features: Seq[String], task: TaskKind,
-          seed: Long, dropFrac: Double = 0.5): Seq[String] = {
+  def rfe(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Seq[String] = {
     var cur = features.toVector
     var best = (cur, Estimator.holdoutScore(data, cur, task, seed))
     while (cur.length > 2) {
       val scores = Rankers.RandomForestRanker.rank(data, cur, task, seed)
-      // Always strictly shrink (ceil can otherwise keep the set fixed).
-      val keepN = math.max(2,
-        math.min(cur.length - 1, math.ceil(cur.length * (1 - dropFrac)).toInt))
+      val keepN = math.max(2, (cur.length + 1) / 2)
       cur = orderByScore(cur, scores).take(keepN).toVector
       val s = Estimator.holdoutScore(data, cur, task, seed)
       if (s > best._2) best = (cur, s)

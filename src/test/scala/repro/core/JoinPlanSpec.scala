@@ -24,13 +24,22 @@ class JoinPlanSpec extends SparkSpec {
   }
 
   test("intersection score matches DuckDB semi-join count") {
-    val base = Seq(1L, 2L, 3L, 4L, 5L).toDF("k")
-    val f = Seq(2L, 3L, 9L).toDF("fk")
-    val matched = base.select("k").distinct()
-      .join(f.select(col("fk").as("k")).distinct(), Seq("k"), "left_semi")
-      .agg(count("*").as("n"))
-    Oracle.assertEquivalent(matched,
-      "SELECT COUNT(*) AS n FROM (SELECT DISTINCT k FROM b WHERE k IN (SELECT fk FROM f))",
+    // Duplicated base key (1, a), a null key component, an unmatched key
+    // (2, a), and a soft time component that never matches: the score
+    // counts distinct hard-key tuples only.
+    val base = Seq[(Option[Long], String, Double)](
+      (Some(1L), "a", 0.5), (Some(1L), "a", 1.5), (Some(1L), "a", 2.5), (Some(1L), "b", 0.5),
+      (Some(2L), "a", 0.5), (None, "a", 0.5), (Some(3L), "c", 9.0)).toDF("k1", "k2", "t")
+    val f = Seq[(Option[Long], String, Double, Double)](
+      (Some(1L), "a", 100.0, 1.0), (Some(1L), "a", 101.0, 2.0), (Some(1L), "b", 200.0, 3.0),
+      (Some(2L), "c", 300.0, 4.0), (None, "a", 400.0, 5.0), (Some(3L), "c", 500.0, 6.0))
+      .toDF("fk1", "fk2", "ft", "v")
+    val c = CandidateJoin("t", f, Seq(KeyPair("k1", "fk1", KeyKind.Hard),
+      KeyPair("k2", "fk2", KeyKind.Hard), KeyPair("t", "ft", KeyKind.Soft)))
+    Oracle.assertEquivalent(Seq(JoinPlan.intersectionScore(base, c)).toDF("score"),
+      """SELECT CAST(COUNT(*) FILTER (WHERE EXISTS (
+        |    SELECT 1 FROM f WHERE f.fk1 = d.k1 AND f.fk2 = d.k2)) AS DOUBLE) / COUNT(*) AS score
+        |FROM (SELECT DISTINCT k1, k2 FROM b) d""".stripMargin,
       "b" -> base, "f" -> f)
   }
 

@@ -89,13 +89,17 @@ class PreprocessSpec extends SparkSpec {
     val values = (0 until 200).map(i => f"v$i%03d")
     val smallest = values.take(64).toSet
     val rows = (values.map(Option(_)) ++ Seq.fill(100)(None)).zipWithIndex
-    for (parts <- Seq(1, 5)) {
+    val fills = Seq(1, 5).map { parts =>
       val df = rows.toDF("s", "row").repartition(parts)
       val imputed = Preprocess.impute(df, Seq("s")).filter(col("row") >= values.size)
-        .select("s").collect().map(_.getString(0))
-      assert(imputed.length == 100)
-      assert(imputed.forall(smallest), s"$parts partitions: ${imputed.filterNot(smallest).distinct.take(5).toSeq}")
+        .select("row", "s").collect().map(r => r.getInt(0) -> r.getString(1)).toMap
+      assert(imputed.size == 100)
+      assert(imputed.values.forall(smallest),
+             s"$parts partitions: ${imputed.values.filterNot(smallest).toSeq.distinct.take(5)}")
+      imputed
     }
+    val differ = fills(0).count { case (row, v) => fills(1)(row) != v }
+    assert(differ == 0, "rows filled differently at 1 and 5 partitions")
   }
 
   test("impute leaves non-null values untouched") {
@@ -120,6 +124,19 @@ class PreprocessSpec extends SparkSpec {
     val df = Seq((1L, 1.0, "x", 0.0), (2L, 2.0, "y", 1.0)).toDF("id", "f", "c", "t")
     val (out, _) = Preprocess.prepare(df, Seq("f", "c"))
     assert(out.columns.contains("id") && out.columns.contains("t"))
+  }
+
+  test("prepare imputes a null categorical before binarizing it") {
+    val df = Seq[(Long, Option[String], Option[Boolean])](
+      (1L, Some("a"), Some(true)), (2L, Some("b"), Some(false)), (3L, Some("a"), Some(true)),
+      (4L, None, None)).toDF("id", "s", "b")
+    val (out, feats) = Preprocess.prepare(df, Seq("s", "b"))
+    for (c <- Seq("s", "b")) {
+      val inds = feats.filter(_.startsWith(s"${c}__is_"))
+      assert(inds.size == 2)
+      val row4 = out.filter(col("id") === 4L).select(inds.map(col): _*).head()
+      assert(inds.indices.map(row4.getDouble).sorted == Seq(0.0, 1.0), s"$c: $row4")
+    }
   }
 
   test("prepare imputes nulls in features") {
