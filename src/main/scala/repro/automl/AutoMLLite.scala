@@ -1,13 +1,14 @@
 package repro.automl
 
 import org.apache.spark.ml.{Model, Estimator => Learner}
-import org.apache.spark.ml.classification.{GBTClassifier, LogisticRegression}
-import org.apache.spark.ml.regression.{GBTRegressor, LinearRegression}
+import org.apache.spark.ml.classification.{GBTClassifier, LogisticRegression, RandomForestClassifier}
+import org.apache.spark.ml.regression.{GBTRegressor, LinearRegression, RandomForestRegressor}
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 
 import repro.core.TaskKind
 import repro.ml.Estimator
-import repro.ml.Estimator.{FeaturesCol, PredictionCol}
+import repro.ml.Estimator.FeaturesCol
 
 /** Substitute for the closed AutoML systems the paper compares against
   * (Microsoft Azure AutoML, Alpine Meadow): a time-budgeted sequential
@@ -22,11 +23,47 @@ object AutoMLLite {
   /** Random Forest shapes tried first, as (trees, depth). */
   private val ForestShapes = Seq((40, 6), (80, 8), (120, 8))
 
+  /** Column every model fitted here predicts into. */
+  private val PredictionCol = "__p"
+
+  /** Deterministic 70/30 split on a seeded rand column. Spark seeds `rand`
+    * per partition, so the split depends on the frame's partitioning.
+    */
+  def split(df: DataFrame, seed: Long): (DataFrame, DataFrame) = {
+    val tagged = df.withColumn("__u", rand(seed))
+    (tagged.filter(col("__u") < 0.7).drop("__u"),
+     tagged.filter(col("__u") >= 0.7).drop("__u"))
+  }
+
+  /** The task's Spark ML Random Forest over [[FeaturesCol]], predicting
+    * `target` into [[PredictionCol]].
+    */
+  def forest(task: TaskKind, target: String, trees: Int, depth: Int,
+             seed: Long): Learner[_ <: Model[_]] = task match {
+    case TaskKind.Classification =>
+      new RandomForestClassifier()
+        .setFeaturesCol(FeaturesCol).setLabelCol(target).setPredictionCol(PredictionCol)
+        .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Estimator.Bins).setSeed(seed)
+    case TaskKind.Regression =>
+      new RandomForestRegressor()
+        .setFeaturesCol(FeaturesCol).setLabelCol(target).setPredictionCol(PredictionCol)
+        .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Estimator.Bins).setSeed(seed)
+  }
+
+  /** Higher-is-better score of `model` on the assembled frame `test`: its
+    * predictions and `target` are collected and scored by
+    * [[Estimator.score]].
+    */
+  def score(task: TaskKind, model: Model[_], test: DataFrame, target: String): Double = {
+    val rows = model.transform(test).select(col(PredictionCol), col(target).cast("double")).collect()
+    Estimator.score(task, rows.map(_.getDouble(0)), rows.map(_.getDouble(1)))
+  }
+
   /** Best holdout score found within `budgetSeconds` (accuracy, or −MAE). */
   def search(df: DataFrame, features: Seq[String], target: String,
              task: TaskKind, budgetSeconds: Double = 40.0, seed: Long = 17L): Double = {
     if (features.isEmpty) return Double.MinValue
-    val (tr0, te0) = Estimator.split(df, seed)
+    val (tr0, te0) = split(df, seed)
     val tr = Estimator.assemble(tr0, features).cache()
     val te = Estimator.assemble(te0, features).cache()
     tr.count(); te.count()
@@ -37,7 +74,7 @@ object AutoMLLite {
       case TaskKind.Regression     => 0
     }
 
-    val forests = ForestShapes.map { case (t, d) => Estimator.forest(task, target, t, d, seed) }
+    val forests = ForestShapes.map { case (t, d) => forest(task, target, t, d, seed) }
     val others: Seq[Learner[_ <: Model[_]]] = task match {
       case TaskKind.Classification =>
         val lr = Seq(0.0, 0.01).map { r =>
@@ -64,7 +101,7 @@ object AutoMLLite {
     val it = (forests ++ others).iterator
     var ran = 0
     while (it.hasNext && (ran == 0 || System.nanoTime() < deadline)) {
-      best = math.max(best, Estimator.score(task, it.next().fit(tr).transform(te), target))
+      best = math.max(best, score(task, it.next().fit(tr), te, target))
       ran += 1
     }
     tr.unpersist(false); te.unpersist(false)

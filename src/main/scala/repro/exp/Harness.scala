@@ -29,17 +29,23 @@ object Harness {
 
   def standardSelectors: Seq[FeatureSelector] = FeatureSelectors.standard(RifsBench)
 
+  /** `body` over one pipeline for `world`, with its joins executed before
+    * `body` times anything; the pipeline is closed afterwards.
+    */
+  def withPipeline[A](world: SynthWorlds.World, cfg: ArdaConfig)(body: ArdaPipeline => A): A = {
+    val p = new ArdaPipeline(world.task, cfg)
+    try {
+      p.batchFrames
+      body(p)
+    } finally p.close()
+  }
+
   /** Run every applicable selector over one shared pipeline (joins and
     * plan computed once), mirroring Table 1's structure.
     */
   def runSelectors(world: SynthWorlds.World, cfg: ArdaConfig,
-                   selectors: Seq[FeatureSelector]): Seq[Arda.ArdaResult] = {
-    val p = new ArdaPipeline(world.task, cfg)
-    try {
-      p.batchFrames // force join execution before timing selectors
-      selectors.filter(_.supports(world.task.task)).map(p.runSelector)
-    } finally p.close()
-  }
+                   selectors: Seq[FeatureSelector]): Seq[Arda.ArdaResult] =
+    withPipeline(world, cfg)(p => selectors.filter(_.supports(world.task.task)).map(p.runSelector))
 
   /** Display metric: regression → MAE (= −score), classification →
     * accuracy in [0,1].

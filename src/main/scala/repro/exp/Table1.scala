@@ -34,10 +34,7 @@ object Table1 {
     val name = world.task.name
     def disp(score: Double) = Harness.display(task, score)
 
-    val p = new ArdaPipeline(world.task, cfg)
-    try {
-      p.batchFrames // materialize joins before timing anything
-
+    Harness.withPipeline(world, cfg) { p =>
       // baseline (our): estimator on the base table alone.
       val t0 = System.nanoTime()
       val baseline = p.baselineScore
@@ -77,7 +74,7 @@ object Table1 {
         rows += Row(name, sel.name, disp(r.augmentedScore), r.totalSeconds)
       }
       rows.result()
-    } finally p.close()
+    }
   }
 
   def run(spark: SparkSession): Seq[String] = {

@@ -1,24 +1,21 @@
 package repro.ml
 
-import org.apache.spark.ml.{Model, Estimator => Learner}
-import org.apache.spark.ml.classification.RandomForestClassifier
 import org.apache.spark.ml.feature.VectorAssembler
-import org.apache.spark.ml.regression.RandomForestRegressor
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.core.TaskKind
 
 /** The paper's fixed estimator (§7), a Random Forest, and the one place
-  * that builds a forest for a task and scores predictions. Scores follow a
+  * that fits it and scores its predictions. Scores follow a
   * higher-is-better convention: classification → holdout accuracy,
   * regression → negative holdout MAE.
   *
-  * `holdoutScore` (the `FastTrees` × `FastDepth` forest) is the cheap
-  * inner-loop evaluator used by wrapper selectors: it runs the driver-side
-  * [[LocalForest]] on a collected coreset matrix. `autoScore` fits the
-  * fixed, larger `FinalTrees` × `FinalDepth` Spark ML forest on the full
-  * base table for final estimates.
+  * Every fit is a driver-side [[LocalForest]] on a collected matrix, scored
+  * on its seeded 70/30 row split. `holdoutScore` (`FastTrees` ×
+  * `FastDepth`) is the cheap inner-loop evaluator of the wrapper
+  * selectors, over the coreset matrix. `autoScore` (`FinalTrees` ×
+  * `FinalDepth`) is the baseline and the final estimate: it collects the
+  * full base table, with the kept tables joined in for the final estimate.
   */
 object Estimator {
 
@@ -26,69 +23,34 @@ object Estimator {
   val FastTrees = 25
   val FastDepth = 6
 
-  /** Final-estimate config. Depth capped at 8: deeper forests on wide
-    * (500+-feature) frames blow up the per-level split-stats tasks to
-    * tens of MB for no accuracy gain at this data scale.
-    */
+  /** Baseline and final-estimate config. */
   val FinalTrees = 60
   val FinalDepth = 8
 
-  /** Split bins per column, for both forests: the Spark ML one (whose
-    * split stats scale as nodes × features × bins, so 8 bins keeps
-    * wide-frame fits from shipping tens-of-MB task binaries) and the
-    * [[LocalForest]], which cuts each column of a coreset matrix at the
-    * same quantile thresholds once per matrix.
+  /** Split bins per column: the [[LocalForest]] cuts each column of a
+    * matrix at this many quantile bins once per matrix, and AutoML-lite's
+    * Spark ML trees use as many (their split stats scale as nodes ×
+    * features × bins, so 8 keeps wide-frame fits from shipping
+    * tens-of-MB task binaries).
     */
   val Bins = 8
 
   /** Column holding the assembled feature vector. */
   val FeaturesCol = "__fv"
 
-  /** Column every model fitted through here predicts into. */
-  val PredictionCol = "__p"
-
-  /** Deterministic 70/30 split on a seeded rand column. */
-  def split(df: DataFrame, seed: Long): (DataFrame, DataFrame) = {
-    val tagged = df.withColumn("__u", rand(seed))
-    (tagged.filter(col("__u") < 0.7).drop("__u"),
-     tagged.filter(col("__u") >= 0.7).drop("__u"))
-  }
-
   /** Nulls filled with 0 and `features` assembled into [[FeaturesCol]],
-    * for the Spark ML models: the final estimate, AutoML-lite and the
-    * linear rankers. coalesce(4): frames spread over many partitions spend
-    * more time scheduling tiny tasks per tree level than computing. It
-    * groups cached partitions by block location, so a first fit over an
-    * unfilled cache can see another row order than later fits.
+    * for the Spark ML models: AutoML-lite and the linear rankers.
+    * coalesce(4): frames spread over many partitions spend more time
+    * scheduling tiny tasks per tree level than computing. It groups cached
+    * partitions by block location, so a first fit over an unfilled cache
+    * can see another row order than later fits.
     */
   def assemble(df: DataFrame, features: Seq[String]): DataFrame =
     new VectorAssembler().setInputCols(features.toArray).setOutputCol(FeaturesCol)
       .transform(df.na.fill(0.0, features)).coalesce(4)
 
-  /** The task's Random Forest over [[FeaturesCol]], predicting `target`
-    * into [[PredictionCol]].
-    */
-  def forest(task: TaskKind, target: String, trees: Int, depth: Int,
-             seed: Long): Learner[_ <: Model[_]] = task match {
-    case TaskKind.Classification =>
-      new RandomForestClassifier()
-        .setFeaturesCol(FeaturesCol).setLabelCol(target).setPredictionCol(PredictionCol)
-        .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Bins).setSeed(seed)
-    case TaskKind.Regression =>
-      new RandomForestRegressor()
-        .setFeaturesCol(FeaturesCol).setLabelCol(target).setPredictionCol(PredictionCol)
-        .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Bins).setSeed(seed)
-  }
-
-  /** Higher-is-better score of [[PredictionCol]] against `target`. */
-  def score(task: TaskKind, pred: DataFrame, target: String): Double = task match {
-    case TaskKind.Classification => accuracy(pred, target, PredictionCol)
-    case TaskKind.Regression     => -mae(pred, target, PredictionCol)
-  }
-
   /** Higher-is-better score of `predicted` against `actual`, on the
-    * driver: accuracy, or −MAE (the DataFrame metrics' empty-input values
-    * on no rows).
+    * driver: accuracy, or −MAE (0 and −MaxValue on no rows).
     */
   def score(task: TaskKind, predicted: Array[Double], actual: Array[Double]): Double = {
     val n = actual.length
@@ -101,18 +63,6 @@ object Estimator {
     }
   }
 
-  /** Accuracy of a prediction column against the label. */
-  def accuracy(pred: DataFrame, target: String, predCol: String): Double = {
-    val r = pred.agg(avg(when(col(target) === col(predCol), 1.0).otherwise(0.0))).head
-    if (r.isNullAt(0)) 0.0 else r.getDouble(0)
-  }
-
-  /** Mean absolute error of a prediction column. */
-  def mae(pred: DataFrame, target: String, predCol: String): Double = {
-    val r = pred.agg(avg(abs(col(target) - col(predCol)))).head
-    if (r.isNullAt(0)) Double.MaxValue else r.getDouble(0)
-  }
-
   /** One fixed-config RF holdout score — the wrapper-loop workhorse.
     * Collects `features` and `target` and fits on the driver.
     */
@@ -121,26 +71,31 @@ object Estimator {
     if (features.isEmpty) Double.MinValue
     else holdoutScore(MatrixOps.collect(df, features, target), features, task, seed)
 
-  /** The holdout score of the `FastTrees` × `FastDepth` [[LocalForest]]
-    * over the columns `features` of a collected matrix, on its seeded
-    * 70/30 row split.
+  /** The holdout score of the `FastTrees` × `FastDepth` forest over the
+    * columns `features` of a collected matrix.
     */
   def holdoutScore(data: MatrixOps.LocalData, features: Seq[String],
-                   task: TaskKind, seed: Long): Double = {
-    if (features.isEmpty) return Double.MinValue
-    val (train, test) = LocalForest.split(data.y.length, seed)
-    val model = LocalForest.fit(data, features, train, task, FastTrees, FastDepth, seed)
-    score(task, test.map(model.predict(data.x, _)), test.map(data.y(_)))
-  }
+                   task: TaskKind, seed: Long): Double =
+    fitAndScore(data, features, task, FastTrees, FastDepth, seed)
 
-  /** The final estimate: holdout score of the `FinalTrees` × `FinalDepth`
-    * forest.
+  /** The baseline and the final estimate: the holdout score of the
+    * `FinalTrees` × `FinalDepth` forest over `features` of `df`, collected
+    * to the driver.
     */
   def autoScore(df: DataFrame, features: Seq[String], target: String,
-                task: TaskKind, seed: Long = 17L): Double = {
+                task: TaskKind, seed: Long = 17L): Double =
+    if (features.isEmpty) Double.MinValue
+    else fitAndScore(MatrixOps.collect(df, features, target), features, task,
+                     FinalTrees, FinalDepth, seed)
+
+  /** A `trees` × `depth` [[LocalForest]] fitted on the seeded 70/30 row
+    * split of `data` and scored on the other 30%.
+    */
+  private def fitAndScore(data: MatrixOps.LocalData, features: Seq[String], task: TaskKind,
+                          trees: Int, depth: Int, seed: Long): Double = {
     if (features.isEmpty) return Double.MinValue
-    val (tr, te) = split(df, seed)
-    val model = forest(task, target, FinalTrees, FinalDepth, seed).fit(assemble(tr, features))
-    score(task, model.transform(assemble(te, features)), target)
+    val (train, test) = LocalForest.split(data.y.length, seed)
+    val model = LocalForest.fit(data, features, train, task, trees, depth, seed)
+    score(task, test.map(model.predict(data.x, _)), test.map(data.y(_)))
   }
 }

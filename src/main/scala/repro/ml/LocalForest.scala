@@ -6,10 +6,12 @@ import scala.util.Random
 import repro.core.TaskKind
 import repro.ml.MatrixOps.LocalData
 
-/** A driver-side Random Forest over a collected coreset matrix: the
-  * learner of the selection loop (holdout fits, RF rankings, RIFS).
+/** A driver-side Random Forest over a collected matrix: the learner of
+  * every ARDA fit, in the selection loop (holdout fits, RF rankings, RIFS)
+  * over the coreset matrix, and for the baseline and the final estimate
+  * over the full base table.
   *
-  * It has the shape of the Spark ML forest that [[Estimator.forest]]
+  * It has the shape of the Spark ML forest that [[repro.automl.AutoMLLite.forest]]
   * builds: Poisson(1) bootstrap weights per tree, a fresh random feature
   * subset at every node (√d for classification, d/3 for regression), Gini
   * or variance impurity, splits at [[Estimator.Bins]]-bin quantile

@@ -11,7 +11,8 @@ import org.apache.spark.sql.functions._
   * collects its input once per call into a [[LocalData]] and hands that one
   * matrix to every ranker (the local Random Forest, ℓ2,1 sparse
   * regression, Relief) and every holdout fit, so collecting here is by
-  * design, not an accident.
+  * design, not an accident. The baseline and the final estimate collect
+  * the full base table the same way (1460–2400 rows here).
   */
 object MatrixOps {
 
@@ -41,21 +42,27 @@ object MatrixOps {
 
   /** Collect `features` and `target` of `df` into local matrices; nulls
     * (which Preprocess should have removed) default to 0.
+    *
+    * Rows come back in one canonical order: lexicographic on the collected
+    * doubles, features first, then the target. Rows that tie are
+    * identical, so the matrix, and every seeded split and bootstrap drawn
+    * over its row indices, does not depend on the frame's partitioning or
+    * on whether its cache was filled.
     */
   def collect(df: DataFrame, features: Seq[String], target: String): LocalData = {
+    val d = features.length
     val rows = df.select((features :+ target).map(c => col(c).cast("double")): _*).collect()
-    val n = rows.length; val d = features.length
-    val x = DenseMatrix.zeros[Double](n, d)
-    val y = DenseVector.zeros[Double](n)
-    var i = 0
-    while (i < n) {
-      val r = rows(i)
-      var j = 0
-      while (j < d) { x(i, j) = if (r.isNullAt(j)) 0.0 else r.getDouble(j); j += 1 }
-      y(i) = if (r.isNullAt(d)) 0.0 else r.getDouble(d)
-      i += 1
-    }
-    LocalData(x, y, features)
+      .map(r => Array.tabulate(d + 1)(j => if (r.isNullAt(j)) 0.0 else r.getDouble(j)))
+      .sorted(Lexicographic)
+    LocalData(DenseMatrix.tabulate(rows.length, d)((i, j) => rows(i)(j)),
+              DenseVector.tabulate(rows.length)(i => rows(i)(d)), features)
+  }
+
+  /** Rows of equal length, compared column by column. */
+  private val Lexicographic: Ordering[Array[Double]] = (a, b) => {
+    var j = 0
+    while (j < a.length && java.lang.Double.compare(a(j), b(j)) == 0) j += 1
+    if (j == a.length) 0 else java.lang.Double.compare(a(j), b(j))
   }
 
   /** Column-standardize in place: zero mean, unit variance (constant

@@ -60,12 +60,12 @@ class RifsSpec extends SparkSpec {
       "fractions"   -> Rifs.noiseOutrankFractions(clsData, c, fastCfg, 5L).toSeq,
       "select"      -> Rifs.select(cls, feats, "y", c, fastCfg, 6L))
     val pinned = Seq(
-      "inject sums" -> Seq(230.21723805602758, 169.3011514610276, 34.414104899408514),
-      "sr rank"     -> Seq(0.5367064740195046, 0.16711867095295746, 0.00178033664176293,
-                           0.007121555010804226, 0.0014515287544188185, 0.00320918765833742,
-                           0.007463664194355554),
+      "inject sums" -> Seq(230.21723805602738, 169.30115146102742, 34.414104899408535),
+      "sr rank"     -> Seq(0.5367064740195027, 0.16711867095295851, 0.0017803366417630001,
+                           0.007121555010804254, 0.001451528754418813, 0.003209187658337435,
+                           0.0074636641943555135),
       "fractions"   -> Seq(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-      "select"      -> Seq("s1"))
+      "select"      -> Seq("s1", "s2"))
     assert(got == pinned)
   }
 

@@ -1,6 +1,9 @@
 package repro.ml
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.automl.AutoMLLite
 import repro.core.TaskKind
@@ -17,22 +20,13 @@ class EstimatorSpec extends SparkSpec {
   private lazy val regDf = spark.range(600).select(randn(3).as("sig"), randn(4).as("noise"))
     .withColumn("y", col("sig") * 3 + randn(5) * 0.1).cache()
 
-  test("split is deterministic and roughly 70/30") {
-    val (tr, te) = Estimator.split(clsDf, 7L)
-    val (tr2, _) = Estimator.split(clsDf, 7L)
-    assert(tr.count() == tr2.count())
-    val frac = tr.count().toDouble / clsDf.count()
-    assert(frac > 0.6 && frac < 0.8)
-  }
-
   test("accuracy metric") {
-    val df = Seq((1.0, 1.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)).toDF("y", "p")
-    assert(Estimator.accuracy(df, "y", "p") == 0.75)
+    val (y, p) = (Array(1.0, 0.0, 1.0, 0.0), Array(1.0, 1.0, 1.0, 0.0))
+    assert(Estimator.score(TaskKind.Classification, p, y) == 0.75)
   }
 
   test("mae metric") {
-    val df = Seq((1.0, 2.0), (3.0, 1.0)).toDF("y", "p")
-    assert(Estimator.mae(df, "y", "p") == 1.5)
+    assert(Estimator.score(TaskKind.Regression, Array(2.0, 1.0), Array(1.0, 3.0)) == -1.5)
   }
 
   test("classification holdout score is high with a separating feature") {
@@ -62,22 +56,53 @@ class EstimatorSpec extends SparkSpec {
   }
 
   test("holdoutScore on a first pass over an unfilled cache equals later calls") {
-    // The pinned test's 4-partition regression frame, cached but not filled.
+    // The pinned test's 4-partition regression frame.
     val d = spark.range(0, 400, 1, 4).select(randn(13).as("sig"), randn(14).as("noise"))
       .withColumn("y", col("sig") * 2 + randn(15) * 0.5)
-    d.unpersist(blocking = true)
-    val cached = d.cache()
+    val feats = Seq("sig", "noise")
+    val scorers = Seq[DataFrame => Double](
+      Estimator.holdoutScore(_, feats, "y", TaskKind.Regression),
+      Estimator.autoScore(_, feats, "y", TaskKind.Regression))
+    // Each scorer's first call runs over a cache that is not filled yet.
+    val calls = scorers.map { score =>
+      d.unpersist(blocking = true)
+      val cached = d.cache()
+      try Seq.fill(3)(score(cached)) finally cached.unpersist(blocking = true)
+    }
+    calls.foreach(c => assert(c.distinct.size == 1, s"first and later calls: $calls"))
+    // The same rows at 1 and at 5 partitions.
+    val filled = d.cache()
     try {
-      val scores = Seq.fill(3)(
-        Estimator.holdoutScore(cached, Seq("sig", "noise"), "y", TaskKind.Regression))
-      assert(scores.distinct.size == 1, s"first and later calls: $scores")
-    } finally cached.unpersist(blocking = true)
+      filled.count()
+      val atPartitions = Seq(filled.coalesce(1), filled.repartition(5)).map(p => scorers.map(_(p)))
+      assert(atPartitions.forall(_ == calls.map(_.head)),
+             s"4 partitions ${calls.map(_.head)}, 1 and 5 partitions $atPartitions")
+    } finally filled.unpersist(blocking = true)
+  }
+
+  test("autoScore on a cached frame runs exactly one Spark job, the collect") {
+    val sc = spark.sparkContext
+    def jobsIn(group: String)(body: => Unit): Int = {
+      sc.setJobGroup(group, group)
+      try body finally sc.clearJobGroup()
+      // The status store reads the listener bus in order: once a later
+      // marker job shows up, every job of `group` has too.
+      val marker = s"$group-marker"
+      sc.setJobGroup(marker, marker)
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup(marker).nonEmpty))
+      sc.statusTracker.getJobIdsForGroup(group).length
+    }
+    val (cls, reg, feats) = (pinCls, pinReg, Seq("sig", "noise")) // filled caches
+    assert(jobsIn("autoScore-cls")(Estimator.autoScore(cls, feats, "y", TaskKind.Classification)) == 1)
+    assert(jobsIn("autoScore-reg")(Estimator.autoScore(reg, feats, "y", TaskKind.Regression)) == 1)
   }
 
   // Fixtures for pinned outputs: an explicit partition count, so the
   // values do not depend on the core count, and a materialized cache,
-  // because the Spark ML fits (`autoScore`, AutoML-lite) see another row
-  // order on a first pass over an unfilled cache.
+  // because AutoML-lite's Spark ML fits see another row order on a first
+  // pass over an unfilled cache. Every other fit here collects its rows
+  // in canonical order and would not need the filled cache.
   private lazy val pinCls = {
     val d = spark.range(0, 400, 1, 4).select(
       (col("id") % 2).cast("double").as("y"),
@@ -105,14 +130,14 @@ class EstimatorSpec extends SparkSpec {
       "automl cls"  -> Seq(AutoMLLite.search(pinCls, feats, "y", c, budgetSeconds = 0)),
       "automl reg"  -> Seq(AutoMLLite.search(pinReg, feats, "y", r, budgetSeconds = 0)))
     val pinned = Seq(
-      "holdout cls" -> Seq(0.7744360902255639),
-      "holdout reg" -> Seq(-0.5583296321372512),
-      "auto cls"    -> Seq(0.7863247863247863),
-      "auto reg"    -> Seq(-0.6076284578507963),
-      "rf rank cls" -> Seq(0.7856886232772824, 0.21431137672271766),
-      "rf rank reg" -> Seq(0.9698295978820145, 0.030170402117985412),
+      "holdout cls" -> Seq(0.706766917293233),
+      "holdout reg" -> Seq(-0.5964190839199756),
+      "auto cls"    -> Seq(0.7142857142857143),
+      "auto reg"    -> Seq(-0.5922630348513198),
+      "rf rank cls" -> Seq(0.786559403767638, 0.21344059623236192),
+      "rf rank reg" -> Seq(0.9728341361021258, 0.027165863897874162),
       "automl cls"  -> Seq(0.7863247863247863),
-      "automl reg"  -> Seq(-0.598062503017631))
+      "automl reg"  -> Seq(-0.5980625030176308))
     assert(got == pinned)
   }
 

@@ -5,10 +5,11 @@ import org.apache.spark.ml.regression.RandomForestRegressionModel
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.automl.AutoMLLite
 import repro.core.TaskKind
 
 class LocalForestSpec extends SparkSpec {
-  import Estimator.{FastDepth, FastTrees}
+  import Estimator.{FastDepth, FastTrees, FinalDepth, FinalTrees}
 
   private val feats = Seq("s1", "s2", "n1", "n2", "n3", "n4")
   private val planted = Set("s1", "s2")
@@ -31,23 +32,23 @@ class LocalForestSpec extends SparkSpec {
   private lazy val regression = fixture(_.withColumn("s1", randn(5)).withColumn("s2", randn(6))
     .withColumn("y", col("s1") * 2 + col("s2") + randn(7) * 0.5))
 
-  /** Both forests at the same trees, depth and seed on the same 70/30
-    * split: (Spark ML score, local score, Spark ML importances, local
+  /** Both forests at `trees` × `depth` and the same seed on the same
+    * 70/30 split: (Spark ML score, local score, Spark ML importances, local
     * importances).
     */
-  private def bothForests(df: DataFrame, task: TaskKind,
+  private def bothForests(df: DataFrame, task: TaskKind, trees: Int, depth: Int,
                           seed: Long): (Double, Double, Array[Double], Array[Double]) = {
-    val (tr, te) = Estimator.split(df, seed)
-    val sparkModel = Estimator.forest(task, "y", FastTrees, FastDepth, seed)
+    val (tr, te) = AutoMLLite.split(df, seed)
+    val sparkModel = AutoMLLite.forest(task, "y", trees, depth, seed)
       .fit(Estimator.assemble(tr, feats))
-    val sparkScore = Estimator.score(task, sparkModel.transform(Estimator.assemble(te, feats)), "y")
+    val sparkScore = AutoMLLite.score(task, sparkModel, Estimator.assemble(te, feats), "y")
     val sparkImp = sparkModel match {
       case m: RandomForestClassificationModel => m.featureImportances.toArray
       case m: RandomForestRegressionModel     => m.featureImportances.toArray
     }
     val (train, test) = (MatrixOps.collect(tr, feats, "y"), MatrixOps.collect(te, feats, "y"))
     val local = LocalForest.fit(train, feats, Array.range(0, train.x.rows), task,
-                                FastTrees, FastDepth, seed)
+                                trees, depth, seed)
     val localScore = Estimator.score(task, Array.tabulate(test.x.rows)(local.predict(test.x, _)),
                                      test.y.toArray)
     (sparkScore, localScore, sparkImp, local.importances)
@@ -56,38 +57,43 @@ class LocalForestSpec extends SparkSpec {
   private def topK(imp: Seq[Double], k: Int): Set[String] =
     feats.zip(imp).sortBy(-_._2).take(k).map(_._1).toSet
 
-  /** Compares the two forests over five seeds: with two of six features
-    * per node, one 25-tree fit's holdout MAE varies by about ±10% with the
-    * seed for either forest, so single fits are too noisy to compare.
+  /** Compares the two forests at `trees` × `depth` over five seeds: with
+    * two of six features per node, one 25-tree fit's holdout MAE varies by
+    * about ±10% with the seed for either forest, so single fits are too
+    * noisy to compare.
     */
-  private def checkParity(df: DataFrame, task: TaskKind): Unit = {
-    val runs = (1L to 5L).map(bothForests(df, task, _))
+  private def checkParity(df: DataFrame, task: TaskKind, trees: Int, depth: Int): Unit = {
+    val shape = s"$trees × $depth"
+    val runs = (1L to 5L).map(bothForests(df, task, trees, depth, _))
     val sparkScore = runs.map(_._1).sum / runs.size
     val localScore = runs.map(_._2).sum / runs.size
     task match {
       case TaskKind.Classification =>
-        assert(math.abs(localScore - sparkScore) <= 0.05, s"accuracy local $localScore vs Spark ML $sparkScore")
+        assert(math.abs(localScore - sparkScore) <= 0.05, s"$shape: accuracy local $localScore vs Spark ML $sparkScore")
       case TaskKind.Regression =>
         val (localMae, sparkMae) = (-localScore, -sparkScore)
-        assert(math.abs(localMae - sparkMae) <= 0.1 * sparkMae, s"MAE local $localMae vs Spark ML $sparkMae")
+        assert(math.abs(localMae - sparkMae) <= 0.1 * sparkMae, s"$shape: MAE local $localMae vs Spark ML $sparkMae")
     }
     val sparkImp = feats.indices.map(j => runs.map(_._3(j)).sum)
     val localImp = feats.indices.map(j => runs.map(_._4(j)).sum)
-    assert(topK(sparkImp, planted.size) == planted, s"Spark ML importances $sparkImp")
-    assert(topK(localImp, planted.size) == planted, s"local importances $localImp")
+    assert(topK(sparkImp, planted.size) == planted, s"$shape: Spark ML importances $sparkImp")
+    assert(topK(localImp, planted.size) == planted, s"$shape: local importances $localImp")
     runs.foreach(r => assert(math.abs(r._4.sum - 1.0) < 1e-9))
   }
 
+  /** The selection loop's forest and the final estimate's, as (trees, depth). */
+  private val shapes = Seq((FastTrees, FastDepth), (FinalTrees, FinalDepth))
+
   test("binary classification matches Spark ML RF score and planted importances") {
-    checkParity(binary, TaskKind.Classification)
+    for ((trees, depth) <- shapes) checkParity(binary, TaskKind.Classification, trees, depth)
   }
 
   test("3-class classification matches Spark ML RF score and planted importances") {
-    checkParity(threeClass, TaskKind.Classification)
+    for ((trees, depth) <- shapes) checkParity(threeClass, TaskKind.Classification, trees, depth)
   }
 
   test("regression matches Spark ML RF MAE and planted importances") {
-    checkParity(regression, TaskKind.Regression)
+    for ((trees, depth) <- shapes) checkParity(regression, TaskKind.Regression, trees, depth)
   }
 
   test("the same seed gives bit-identical scores and importances") {
