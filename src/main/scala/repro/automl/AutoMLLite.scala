@@ -2,13 +2,13 @@ package repro.automl
 
 import org.apache.spark.ml.{Model, Estimator => Learner}
 import org.apache.spark.ml.classification.{GBTClassifier, LogisticRegression, RandomForestClassifier}
+import org.apache.spark.ml.feature.VectorAssembler
 import org.apache.spark.ml.regression.{GBTRegressor, LinearRegression, RandomForestRegressor}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.core.TaskKind
 import repro.ml.Estimator
-import repro.ml.Estimator.FeaturesCol
 
 /** Substitute for the closed AutoML systems the paper compares against
   * (Microsoft Azure AutoML, Alpine Meadow): a time-budgeted sequential
@@ -23,8 +23,22 @@ object AutoMLLite {
   /** Random Forest shapes tried first, as (trees, depth). */
   private val ForestShapes = Seq((40, 6), (80, 8), (120, 8))
 
+  /** Column holding the assembled feature vector. */
+  private val FeaturesCol = "__fv"
+
   /** Column every model fitted here predicts into. */
   private val PredictionCol = "__p"
+
+  /** Nulls filled with 0 and `features` assembled into [[FeaturesCol]],
+    * the input of every model fitted here. coalesce(4): frames spread over
+    * many partitions spend more time scheduling tiny tasks per tree level
+    * than computing. It groups cached partitions by block location, so a
+    * first fit over an unfilled cache can see another row order than
+    * later fits.
+    */
+  def assemble(df: DataFrame, features: Seq[String]): DataFrame =
+    new VectorAssembler().setInputCols(features.toArray).setOutputCol(FeaturesCol)
+      .transform(df.na.fill(0.0, features)).coalesce(4)
 
   /** Deterministic 70/30 split on a seeded rand column. Spark seeds `rand`
     * per partition, so the split depends on the frame's partitioning.
@@ -64,8 +78,8 @@ object AutoMLLite {
              task: TaskKind, budgetSeconds: Double = 40.0, seed: Long = 17L): Double = {
     if (features.isEmpty) return Double.MinValue
     val (tr0, te0) = split(df, seed)
-    val tr = Estimator.assemble(tr0, features).cache()
-    val te = Estimator.assemble(te0, features).cache()
+    val tr = assemble(tr0, features).cache()
+    val te = assemble(te0, features).cache()
     tr.count(); te.count()
 
     val deadline = System.nanoTime() + (budgetSeconds * 1e9).toLong

@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -12,29 +13,29 @@ import org.apache.spark.sql.types._
   */
 object Coreset {
 
-  /** Uniformly sample ~`size` rows (exact cap via limit after sample). */
-  def uniform(df: DataFrame, size: Int, seed: Long): DataFrame = {
-    val n = df.count()
-    if (n <= size) df
-    else {
-      // Oversample slightly then cap, so the coreset size is deterministic.
-      val frac = math.min(1.0, size.toDouble / n * 1.2)
-      df.sample(withReplacement = false, frac, seed).limit(size)
-    }
-  }
+  /** A seeded hash of every column of the row: the rank by which both
+    * samplers keep rows, so a sample does not depend on partitioning.
+    */
+  private def rowHash(df: DataFrame, seed: Long): Column =
+    xxhash64(df.columns.map(col) :+ lit(seed): _*)
 
-  /** Stratified sample: partition by `target` label and sample each
-    * stratum at the same rate, so no label is overlooked (§3.1).
+  /** Uniform sample: the min(n, `size`) rows with the smallest row hash. */
+  def uniform(df: DataFrame, size: Int, seed: Long): DataFrame =
+    df.orderBy(rowHash(df, seed)).limit(size)
+
+  /** Stratified sample: the ⌈size·n_label/n⌉ rows with the smallest row
+    * hash per `target` label, so no label is overlooked (§3.1), then the
+    * `size` smallest of those.
     */
   def stratified(df: DataFrame, target: String, size: Int, seed: Long): DataFrame = {
     val n = df.count()
-    if (n <= size) df
-    else {
-      val frac = math.min(1.0, size.toDouble / n * 1.2)
-      val labels = df.select(col(target)).distinct().collect().map(_.get(0))
-      val fractions = labels.map(l => l -> frac).toMap
-      df.stat.sampleBy(target, fractions, seed).limit(size)
-    }
+    val byLabel = Window.partitionBy(col(target))
+    df.withColumn("__h", rowHash(df, seed))
+      .withColumn("__r", row_number().over(byLabel.orderBy(col("__h"))))
+      .withColumn("__nl", count(lit(1)).over(byLabel))
+      .filter(col("__r") <= ceil(lit(size.toLong) * col("__nl") / lit(n)))
+      .orderBy(col("__h")).limit(size)
+      .drop("__h", "__r", "__nl")
   }
 
   /** Dispatch for pre-join strategies; Sketch falls back to uniform here

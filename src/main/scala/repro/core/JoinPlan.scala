@@ -9,7 +9,10 @@ import org.apache.spark.sql.functions._
   */
 object JoinPlan {
 
-  /** A candidate annotated with planning statistics. */
+  /** A candidate annotated with planning statistics. `nFeatures` counts
+    * the feature columns its payload becomes after [[Preprocess.prepare]],
+    * read from the schema.
+    */
   final case class PlannedJoin(cand: CandidateJoin, score: Double,
                                nFeatures: Int, tupleRatio: Double)
 
@@ -57,7 +60,8 @@ object JoinPlan {
     val baseRows = base.count()
     expandAlternatives(cands).map { c =>
       val score = c.discoveryScore.getOrElse(intersectionScore(base, c))
-      val nFeat = c.table.columns.count(col => !c.keys.exists(_.foreignCol == col))
+      val nFeat = c.table.schema.fields.filterNot(f => c.keys.exists(_.foreignCol == f.name))
+        .map(f => Preprocess.preparedWidth(f.dataType)).sum
       PlannedJoin(c, score, nFeat, tupleRatio(baseRows, c))
     }
   }

@@ -14,6 +14,20 @@ import org.apache.spark.sql.types._
   */
 object Preprocess {
 
+  /** Indicator columns [[binarize]] makes per categorical, at most. */
+  val MaxLevels = 8
+
+  /** The number of prepared feature columns [[prepare]] makes of a column
+    * of type `t`, at most: 1 numeric, 2 indicators per boolean,
+    * `MaxLevels` per string, none of any other type.
+    */
+  def preparedWidth(t: DataType): Int = t match {
+    case _: NumericType => 1
+    case BooleanType    => 2
+    case StringType     => MaxLevels
+    case _              => 0
+  }
+
   /** Columns of `df` with a numeric Spark type. */
   def numericCols(df: DataFrame, among: Seq[String]): Seq[String] = {
     val numeric = df.schema.fields.collect {
@@ -35,7 +49,7 @@ object Preprocess {
     * dropped. Rarely-seen levels map to all-zero indicators, which is the
     * conventional reference encoding.
     */
-  def binarize(df: DataFrame, cols: Seq[String], maxLevels: Int = 8): DataFrame = {
+  def binarize(df: DataFrame, cols: Seq[String], maxLevels: Int = MaxLevels): DataFrame = {
     cols.foldLeft(df) { (d, c) =>
       val levels = d
         .filter(col(c).isNotNull)

@@ -28,7 +28,7 @@ object FeatureSelectors {
   /** Ranker + the paper's exponential search (§6.3) — used for random
     * forest, sparse regression, mutual info, f-test, lasso, logistic,
     * linear svc and relief rows of Table 1/6. The input is collected once;
-    * a [[LocalRanker]] ranks that matrix, the others rank `df`.
+    * the ranker and every holdout fit of the search run on that matrix.
     */
   final class Ranked(ranker: Ranker) extends FeatureSelector {
     val name: String = ranker.name
@@ -36,10 +36,7 @@ object FeatureSelectors {
     def select(df: DataFrame, features: Seq[String], target: String,
                task: TaskKind, seed: Long): Seq[String] = {
       val data = MatrixOps.collect(df, features, target)
-      val scores = ranker match {
-        case local: LocalRanker => local.rank(data, features, task, seed)
-        case spark              => spark.rank(df, features, target, task, seed)
-      }
+      val scores = ranker.rank(data, features, task, seed)
       Selection.exponentialSearch(data, Selection.orderByScore(features, scores), task, seed)
     }
   }

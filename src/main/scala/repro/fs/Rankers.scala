@@ -1,9 +1,8 @@
 package repro.fs
 
-import org.apache.spark.ml.classification.{LinearSVC, LinearSVCModel, LogisticRegression, OneVsRest}
-import org.apache.spark.ml.regression.LinearRegression
+import breeze.linalg.{sum, DenseMatrix, DenseVector}
+import breeze.optimize.{DiffFunction, OWLQN}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.core.TaskKind
 import repro.ml.{Estimator, FilterStats, LocalForest, MatrixOps, Relief, SparseRegression}
@@ -12,22 +11,19 @@ import repro.ml.MatrixOps.LocalData
 /** A feature ranker: assigns every feature a relevance score (higher =
   * better). Rankers are combined with a subset-selection strategy
   * ([[Selection]]) to form a feature selector (§5, §7).
+  *
+  * Every ranker runs on the driver over a collected coreset matrix, so a
+  * selector collects its input once and ranks any subset of its columns.
   */
 trait Ranker {
   def name: String
   /** Whether this ranker applies to the task (e.g. lasso is regression-only). */
   def supports(task: TaskKind): Boolean = true
-  def rank(df: DataFrame, features: Seq[String], target: String,
-           task: TaskKind, seed: Long): Array[Double]
-}
 
-/** A ranker that runs on the driver over a collected coreset matrix, so a
-  * selector can collect its input once and rank any subset of its columns.
-  */
-trait LocalRanker extends Ranker {
   /** Scores of the columns `features` of `data`. */
   def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double]
 
+  /** Scores of `features` of `df`, collected with `target` into one matrix. */
   final def rank(df: DataFrame, features: Seq[String], target: String,
                  task: TaskKind, seed: Long): Array[Double] =
     rank(MatrixOps.collect(df, features, target), features, task, seed)
@@ -35,12 +31,10 @@ trait LocalRanker extends Ranker {
 
 object Rankers {
 
-  import Estimator.{assemble, FeaturesCol}
-
   /** Impurity importances of the `FastTrees` × `FastDepth` [[LocalForest]],
     * fitted on every row of the matrix.
     */
-  object RandomForestRanker extends LocalRanker {
+  object RandomForestRanker extends Ranker {
     val name = "random forest"
     def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
       LocalForest.fit(data, features, Array.range(0, data.y.length), task,
@@ -51,7 +45,7 @@ object Rankers {
     * ensemble member (§6.2), on standardized columns of the matrix, at the
     * solver's default γ = 0.1.
     */
-  final class SparseRegressionRanker extends LocalRanker {
+  final class SparseRegressionRanker extends Ranker {
     val name = "sparse regression"
     def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] = {
       val x = MatrixOps.standardize(data.columns(features))
@@ -60,86 +54,124 @@ object Rankers {
     }
   }
 
-  /** Lasso (L1 linear regression) |coefficient| ranking; regression only
-    * (Table 1 marks lasso n/a on classification datasets).
+  /** Lasso |w| ranking: ½·mean squared loss + 0.02‖w‖₁ over standardized
+    * columns, 50 iterations; regression only (Table 1 marks lasso n/a on
+    * classification datasets).
     */
   object LassoRanker extends Ranker {
     val name = "lasso"
     override def supports(task: TaskKind): Boolean = task == TaskKind.Regression
-    def rank(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, seed: Long): Array[Double] = {
-      val a = assemble(df, features)
-      val m = new LinearRegression().setFeaturesCol(FeaturesCol).setLabelCol(target)
-        .setElasticNetParam(1.0).setRegParam(0.02).setMaxIter(50).fit(a)
-      m.coefficients.toArray.map(math.abs)
-    }
+    def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
+      fitLinear(MatrixOps.standardize(data.columns(features)), data.y, Squared,
+                l1 = 0.02, l2 = 0.0, iterations = 50).map(math.abs).toArray
   }
 
-  /** L1 logistic regression |coefficient| ranking; classification only. */
+  /** ℓ1 logistic regression |w| ranking: mean log-loss + 0.01‖w‖₁ over
+    * standardized columns, 50 iterations, one-vs-rest beyond binary;
+    * classification only.
+    */
   object LogisticRanker extends Ranker {
     val name = "logistic reg"
     override def supports(task: TaskKind): Boolean = task == TaskKind.Classification
-    def rank(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, seed: Long): Array[Double] = {
-      val a = assemble(df, features)
-      val m = new LogisticRegression().setFeaturesCol(FeaturesCol).setLabelCol(target)
-        .setElasticNetParam(1.0).setRegParam(0.01).setMaxIter(50).fit(a)
-      val cm = m.coefficientMatrix
-      Array.tabulate(features.length) { j =>
-        (0 until cm.numRows).map(i => math.abs(cm(i, j))).sum
-      }
-    }
+    def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
+      oneVsRest(data, features, Logistic, l1 = 0.01, l2 = 0.0, iterations = 50)
   }
 
-  /** Linear SVC |coefficient| ranking (one-vs-rest beyond binary);
+  /** Linear SVC |w| ranking: mean hinge loss + ½·0.05‖w‖² over
+    * standardized columns, 30 iterations, one-vs-rest beyond binary;
     * classification only.
     */
   object LinearSVCRanker extends Ranker {
     val name = "linear svc"
     override def supports(task: TaskKind): Boolean = task == TaskKind.Classification
-    def rank(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, seed: Long): Array[Double] = {
-      val a = assemble(df, features).withColumn(target, col(target).cast("double"))
-      val nClasses = a.select(target).distinct().count().toInt
-      val svc = new LinearSVC().setFeaturesCol(FeaturesCol).setLabelCol(target)
-        .setRegParam(0.05).setMaxIter(30)
-      if (nClasses <= 2) svc.fit(a).coefficients.toArray.map(math.abs)
-      else {
-        val ovr = new OneVsRest().setClassifier(svc)
-          .setFeaturesCol(FeaturesCol).setLabelCol(target).fit(a)
-        val out = Array.fill(features.length)(0.0)
-        ovr.models.foreach { case m: LinearSVCModel =>
-          val c = m.coefficients.toArray
-          var j = 0
-          while (j < out.length) { out(j) += math.abs(c(j)); j += 1 }
-        }
-        out
-      }
-    }
+    def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
+      oneVsRest(data, features, Hinge, l1 = 0.0, l2 = 0.05, iterations = 30)
   }
 
-  /** Mutual information over the melted layout (distributed). */
+  /** Mutual information of each column with the label. */
   object MutualInfoRanker extends Ranker {
     val name = "mutual info"
-    def rank(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, seed: Long): Array[Double] =
-      FilterStats.miScores(df, features, target, task)
+    def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
+      FilterStats.miScores(data.columns(features), data.y, task)
   }
 
-  /** F-test (ANOVA / regression F) over the melted layout (distributed,
-    * via the FStatAgg UDAF for regression).
-    */
+  /** F-test: one-way ANOVA F for classification, univariate regression F. */
   object FTestRanker extends Ranker {
     val name = "f-test"
-    def rank(df: DataFrame, features: Seq[String], target: String,
-             task: TaskKind, seed: Long): Array[Double] =
-      FilterStats.fScores(df, features, target, task)
+    def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
+      FilterStats.fScores(data.columns(features), data.y, task)
   }
 
   /** ReliefF / RReliefF weights over the collected coreset. */
-  object ReliefRanker extends LocalRanker {
+  object ReliefRanker extends Ranker {
     val name = "relief"
     def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
       Relief.weights(data.columns(features), data.y, task, seed = seed).toArray
+  }
+
+  /** A per-row loss of the linear rankers, of the margin m = x·w + b
+    * against the label y (0/1 for the classifiers): (loss, ∂loss/∂m).
+    */
+  private type Loss = (Double, Double) => (Double, Double)
+
+  /** ½(m − y)². */
+  private val Squared: Loss = (m, y) => (0.5 * (m - y) * (m - y), m - y)
+
+  /** log(1 + eᵐ) − y·m, without overflow. */
+  private val Logistic: Loss = (m, y) =>
+    (math.max(m, 0.0) + math.log1p(math.exp(-math.abs(m))) - y * m, 1.0 / (1.0 + math.exp(-m)) - y)
+
+  /** max(0, 1 − s·m), with the sign s = 2y − 1. */
+  private val Hinge: Loss = (m, y) => {
+    val s = 2 * y - 1
+    if (s * m < 1) (1 - s * m, -s) else (0.0, 0.0)
+  }
+
+  /** Sum over the classes of |w| of the binary fits of each class against
+    * the rest; a single fit, of the larger label, for two classes.
+    */
+  private def oneVsRest(data: LocalData, features: Seq[String], loss: Loss,
+                        l1: Double, l2: Double, iterations: Int): Array[Double] = {
+    val x = MatrixOps.standardize(data.columns(features))
+    val classes = data.y.toArray.distinct.sorted
+    val positives = if (classes.length <= 2) classes.takeRight(1) else classes
+    val out = Array.fill(features.length)(0.0)
+    for (c <- positives) {
+      val w = fitLinear(x, data.y.map(v => if (v == c) 1.0 else 0.0), loss, l1, l2, iterations)
+      var j = 0
+      while (j < out.length) { out(j) += math.abs(w(j)); j += 1 }
+    }
+    out
+  }
+
+  /** The weights w of the linear model minimizing the mean `loss` over the
+    * rows of `x` plus `l1`‖w‖₁ + ½`l2`‖w‖², with an unpenalized intercept,
+    * found by Breeze's OWLQN as Spark ML fits these models (LinearSVC with
+    * no ℓ1 term too).
+    */
+  private def fitLinear(x: DenseMatrix[Double], y: DenseVector[Double], loss: Loss,
+                        l1: Double, l2: Double, iterations: Int): DenseVector[Double] = {
+    val (n, d) = (x.rows, x.cols)
+    val objective = new DiffFunction[DenseVector[Double]] {
+      def calculate(p: DenseVector[Double]): (Double, DenseVector[Double]) = {
+        val w = p(0 until d)
+        val margin = x * w
+        val dm = DenseVector.zeros[Double](n) // ∂loss/∂margin per row
+        var value = 0.0
+        var i = 0
+        while (i < n) {
+          val (l, g) = loss(margin(i) + p(d), y(i))
+          value += l; dm(i) = g
+          i += 1
+        }
+        val grad = DenseVector.zeros[Double](d + 1)
+        grad(0 until d) := (x.t * dm) / n.toDouble
+        grad(d) = sum(dm) / n
+        if (l2 > 0) grad(0 until d) += w * l2
+        (value / n + 0.5 * l2 * (w dot w), grad)
+      }
+    }
+    new OWLQN[Int, DenseVector[Double]](iterations, 10, (j: Int) => if (j < d) l1 else 0.0, 1e-6)
+      .minimize(objective, DenseVector.zeros[Double](d + 1))(0 until d)
   }
 }

@@ -1,6 +1,5 @@
 package repro.ml
 
-import org.apache.spark.ml.feature.VectorAssembler
 import org.apache.spark.sql.DataFrame
 
 import repro.core.TaskKind
@@ -16,6 +15,8 @@ import repro.core.TaskKind
   * selectors, over the coreset matrix. `autoScore` (`FinalTrees` ×
   * `FinalDepth`) is the baseline and the final estimate: it collects the
   * full base table, with the kept tables joined in for the final estimate.
+  * No Spark ML model is fitted here: AutoML-lite, the one Spark ML user,
+  * assembles its own feature vectors.
   */
 object Estimator {
 
@@ -34,20 +35,6 @@ object Estimator {
     * tens-of-MB task binaries).
     */
   val Bins = 8
-
-  /** Column holding the assembled feature vector. */
-  val FeaturesCol = "__fv"
-
-  /** Nulls filled with 0 and `features` assembled into [[FeaturesCol]],
-    * for the Spark ML models: AutoML-lite and the linear rankers.
-    * coalesce(4): frames spread over many partitions spend more time
-    * scheduling tiny tasks per tree level than computing. It groups cached
-    * partitions by block location, so a first fit over an unfilled cache
-    * can see another row order than later fits.
-    */
-  def assemble(df: DataFrame, features: Seq[String]): DataFrame =
-    new VectorAssembler().setInputCols(features.toArray).setOutputCol(FeaturesCol)
-      .transform(df.na.fill(0.0, features)).coalesce(4)
 
   /** Higher-is-better score of `predicted` against `actual`, on the
     * driver: accuracy, or −MAE (0 and −MaxValue on no rows).

@@ -1,134 +1,107 @@
 package repro.ml
 
-import org.apache.spark.sql.{DataFrame, Encoder, Encoders, functions => F}
-import org.apache.spark.sql.expressions.Aggregator
-import org.apache.spark.sql.functions._
+import breeze.linalg.{DenseMatrix, DenseVector}
 
 import repro.core.TaskKind
 
-/** Distributed filter-model feature statistics (§5 baselines).
+/** Filter-model feature statistics (§5 baselines), in closed form over the
+  * columns of a collected coreset matrix:
   *
-  * The feature matrix is *melted* once — `posexplode` turns every row into
-  * (featureIdx, value, label) triples — so a single shuffle scores all
-  * features at once:
+  *  - regression F-test: the correlation moments (n, Σv, Σv², Σy, Σy², Σvy)
+  *    of each column with the label, finished as F = r²·(n−2)/(1−r²);
+  *  - classification F-test (one-way ANOVA): per-class moments of each
+  *    column, finished as F = (SSB/(k−1))/(SSW/(n−k));
+  *  - mutual information: joint counts over equal-width bins of each
+  *    column (and of the label, for regression).
   *
-  *  - regression F-test: a custom typed [[Aggregator]] (registered as a
-  *    UDAF) accumulates the correlation moments (n, Σv, Σv², Σy, Σy², Σvy)
-  *    per feature and finishes with F = r²·(n−2)/(1−r²);
-  *  - classification F-test (one-way ANOVA): per (feature, class) moments
-  *    via groupBy, finished as F = (SSB/(k−1))/(SSW/(n−k));
-  *  - mutual information: equal-width binning of values (and of the label,
-  *    for regression) followed by joint bin counts.
+  * Scores are aligned with the columns of `x`.
   */
 object FilterStats {
 
-  /** Accumulator for pairwise correlation moments. */
-  final case class CorrMoments(n: Long, sv: Double, svv: Double,
-                               sy: Double, syy: Double, svy: Double)
+  /** Equal-width bins per column (and per regression label) for MI. */
+  private val MiBins = 8
 
-  /** Typed Aggregator computing the univariate regression F statistic of
-    * (value, label) pairs. Used through `functions.udaf`, i.e. as a
-    * genuine UDAF over the melted layout.
+  /** F statistic per column of `x` against the label `y`. */
+  def fScores(x: DenseMatrix[Double], y: DenseVector[Double], task: TaskKind): Array[Double] =
+    Array.tabulate(x.cols) { j =>
+      task match {
+        case TaskKind.Regression     => regressionF(x(::, j), y)
+        case TaskKind.Classification => anovaF(x(::, j), y)
+      }
+    }
+
+  /** r²·(n−2)/(1−r²); 0 below 3 rows or for a (near-)constant side. */
+  private def regressionF(v: DenseVector[Double], y: DenseVector[Double]): Double = {
+    val n = v.length.toDouble
+    if (n < 3) return 0.0
+    var sv, svv, sy, syy, svy = 0.0
+    var i = 0
+    while (i < v.length) {
+      val (a, b) = (v(i), y(i))
+      sv += a; svv += a * a; sy += b; syy += b * b; svy += a * b
+      i += 1
+    }
+    val covVY = svy / n - (sv / n) * (sy / n)
+    val varV  = svv / n - math.pow(sv / n, 2)
+    val varY  = syy / n - math.pow(sy / n, 2)
+    if (varV < 1e-12 || varY < 1e-12) return 0.0
+    val r2 = math.min(1.0 - 1e-12, covVY * covVY / (varV * varY))
+    r2 * (n - 2) / (1.0 - r2)
+  }
+
+  /** (SSB/(k−1))/(SSW/(n−k)) over the k classes present; 0 for fewer than
+    * 2 classes, fewer than k + 1 rows or no within-class spread.
     */
-  class FStatAgg extends Aggregator[(Double, Double), CorrMoments, Double] {
-    def zero: CorrMoments = CorrMoments(0L, 0, 0, 0, 0, 0)
-    def reduce(b: CorrMoments, a: (Double, Double)): CorrMoments = {
-      val (v, y) = a
-      CorrMoments(b.n + 1, b.sv + v, b.svv + v * v, b.sy + y, b.syy + y * y, b.svy + v * y)
+  private def anovaF(v: DenseVector[Double], y: DenseVector[Double]): Double = {
+    // Per class: (count, Σv, Σv²).
+    val moments = scala.collection.mutable.Map.empty[Double, Array[Double]]
+    var i = 0
+    while (i < v.length) {
+      val m = moments.getOrElseUpdate(y(i), new Array[Double](3))
+      m(0) += 1; m(1) += v(i); m(2) += v(i) * v(i)
+      i += 1
     }
-    def merge(b1: CorrMoments, b2: CorrMoments): CorrMoments =
-      CorrMoments(b1.n + b2.n, b1.sv + b2.sv, b1.svv + b2.svv,
-                  b1.sy + b2.sy, b1.syy + b2.syy, b1.svy + b2.svy)
-    def finish(b: CorrMoments): Double = {
-      if (b.n < 3) return 0.0
-      val n = b.n.toDouble
-      val covVY = b.svy / n - (b.sv / n) * (b.sy / n)
-      val varV  = b.svv / n - math.pow(b.sv / n, 2)
-      val varY  = b.syy / n - math.pow(b.sy / n, 2)
-      if (varV < 1e-12 || varY < 1e-12) return 0.0
-      val r2 = math.min(1.0 - 1e-12, covVY * covVY / (varV * varY))
-      r2 * (n - 2) / (1.0 - r2)
-    }
-    def bufferEncoder: Encoder[CorrMoments] = Encoders.product[CorrMoments]
-    def outputEncoder: Encoder[Double] = Encoders.scalaDouble
+    val groups = moments.values.toSeq
+    val n = groups.map(_(0)).sum
+    val k = groups.length
+    val mean = groups.map(_(1)).sum / n
+    val ssb = groups.map { g => val mg = g(1) / g(0); g(0) * (mg - mean) * (mg - mean) }.sum
+    val ssw = groups.map(g => g(2) - g(1) * g(1) / g(0)).sum
+    if (k < 2 || n - k < 1 || ssw < 1e-12) 0.0
+    else (ssb / (k - 1)) / (ssw / (n - k))
   }
 
-  /** Melt `features` of `df` into (__f, __v, __y) triples. */
-  def melt(df: DataFrame, features: Seq[String], target: String): DataFrame = {
-    df.select(col(target).cast("double").as("__y"),
-              posexplode(array(features.map(c => coalesce(col(c).cast("double"), lit(0.0))): _*))
-                .as(Seq("__f", "__v")))
-  }
-
-  /** F statistic per feature (aligned with `features` order). */
-  def fScores(df: DataFrame, features: Seq[String], target: String,
-              task: TaskKind): Array[Double] = {
-    val m = melt(df, features, target)
-    val out = Array.fill(features.length)(0.0)
-    task match {
-      case TaskKind.Regression =>
-        val fstat = F.udaf(new FStatAgg, Encoders.product[(Double, Double)])
-        val rows = m.groupBy("__f").agg(fstat(col("__v"), col("__y")).as("f")).collect()
-        rows.foreach(r => out(r.getInt(0)) = r.getDouble(1))
+  /** Mutual information (nats) per column of `x` with the label `y`, over
+    * `MiBins` equal-width value bins; a regression label is binned too.
+    */
+  def miScores(x: DenseMatrix[Double], y: DenseVector[Double], task: TaskKind): Array[Double] = {
+    val labels: Array[Int] = task match {
       case TaskKind.Classification =>
-        // Per (feature, class) moments; ANOVA finished on the driver over
-        // the (d × k)-row summary.
-        val rows = m.groupBy("__f", "__y")
-          .agg(count("*").as("n"), sum("__v").as("s"), sum(col("__v") * col("__v")).as("ss"))
-          .collect()
-        val byF = rows.groupBy(_.getInt(0))
-        for ((f, grp) <- byF) {
-          val n = grp.map(_.getLong(2)).sum.toDouble
-          val k = grp.length
-          val sTot = grp.map(_.getDouble(3)).sum
-          val mean = sTot / n
-          val ssb = grp.map { g =>
-            val ng = g.getLong(2).toDouble; val mg = g.getDouble(3) / ng
-            ng * (mg - mean) * (mg - mean)
-          }.sum
-          val ssw = grp.map { g =>
-            val ng = g.getLong(2).toDouble; val sg = g.getDouble(3); val ssg = g.getDouble(4)
-            ssg - sg * sg / ng
-          }.sum
-          out(f) = if (k < 2 || n - k < 1 || ssw < 1e-12) 0.0
-                   else (ssb / (k - 1)) / (ssw / (n - k))
-        }
+        val index = y.toArray.distinct.zipWithIndex.toMap
+        y.toArray.map(index)
+      case TaskKind.Regression => bins(y)
     }
-    out
+    Array.tabulate(x.cols)(j => mutualInfo(bins(x(::, j)), labels))
   }
 
-  /** Mutual information (nats) per feature, over `bins` equal-width value
-    * bins (label also binned for regression).
-    */
-  def miScores(df: DataFrame, features: Seq[String], target: String,
-               task: TaskKind, bins: Int = 8): Array[Double] = {
-    val m0 = melt(df, features, target)
-    val lab = task match {
-      case TaskKind.Classification => col("__y")
-      case TaskKind.Regression =>
-        val Array(lo, hi) = m0.agg(min("__y"), max("__y")).head.toSeq.map(_.asInstanceOf[Double]).toArray
-        val w = math.max(1e-12, hi - lo)
-        least(lit(bins - 1), floor((col("__y") - lit(lo)) / lit(w) * bins)).cast("int")
-    }
-    val m = m0.withColumn("__l", lab)
-    val extents = m.groupBy("__f").agg(min("__v").as("lo"), max("__v").as("hi"))
-    val binned = m.join(extents, "__f").withColumn(
-      "__b",
-      least(lit(bins - 1),
-            floor((col("__v") - col("lo")) / greatest(lit(1e-12), col("hi") - col("lo")) * bins))
-        .cast("int"))
-    val rows = binned.groupBy("__f", "__b", "__l").count().collect()
-    val out = Array.fill(features.length)(0.0)
-    for ((f, grp) <- rows.groupBy(_.getInt(0))) {
-      val n = grp.map(_.getLong(3)).sum.toDouble
-      val pB = grp.groupBy(_.getInt(1)).map { case (b, g) => b -> g.map(_.getLong(3)).sum / n }
-      val pL = grp.groupBy(r => r.get(2).toString).map { case (l, g) => l -> g.map(_.getLong(3)).sum / n }
-      out(f) = grp.map { r =>
-        val pbl = r.getLong(3) / n
-        val pb = pB(r.getInt(1)); val pl = pL(r.get(2).toString)
-        if (pbl < 1e-15) 0.0 else pbl * math.log(pbl / (pb * pl))
-      }.sum
-    }
-    out
+  /** The equal-width bin of every value, between the column's extremes. */
+  private def bins(v: DenseVector[Double]): Array[Int] = {
+    val a = v.toArray
+    if (a.isEmpty) return Array.empty
+    val lo = a.min
+    val w = math.max(1e-12, a.max - lo)
+    a.map(u => math.min(MiBins - 1, math.floor((u - lo) / w * MiBins).toInt))
+  }
+
+  /** Σ p(b,l)·ln(p(b,l)/(p(b)·p(l))) over the observed (bin, label) pairs. */
+  private def mutualInfo(b: Array[Int], l: Array[Int]): Double = {
+    val n = b.length.toDouble
+    val joint = b.indices.groupMapReduce(i => (b(i), l(i)))(_ => 1)(_ + _)
+    val pB = joint.groupMapReduce(_._1._1)(_._2)(_ + _)
+    val pL = joint.groupMapReduce(_._1._2)(_._2)(_ + _)
+    joint.iterator.map { case ((bi, li), c) =>
+      val pbl = c / n
+      pbl * math.log(pbl / ((pB(bi) / n) * (pL(li) / n)))
+    }.sum
   }
 }

@@ -9,8 +9,7 @@ import org.apache.spark.sql.functions._
   * The whole selection loop runs on the driver over the *coreset* — the
   * coreset exists precisely to make this cheap (§3.1). Every selector
   * collects its input once per call into a [[LocalData]] and hands that one
-  * matrix to every ranker (the local Random Forest, ℓ2,1 sparse
-  * regression, Relief) and every holdout fit, so collecting here is by
+  * matrix to every ranker and every holdout fit, so collecting here is by
   * design, not an accident. The baseline and the final estimate collect
   * the full base table the same way (1460–2400 rows here).
   */

@@ -2,7 +2,9 @@ package repro
 
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
+import org.scalatest.concurrent.Eventually._
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
 
 import repro.jobs.JobSession
 
@@ -15,6 +17,20 @@ import repro.jobs.JobSession
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** The number of Spark jobs `body` runs, counted in its own job group. */
+  def jobsIn(group: String)(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try body finally sc.clearJobGroup()
+    // The status store reads the listener bus in order: once a later
+    // marker job shows up, every job of `group` has too.
+    val marker = s"$group-marker"
+    sc.setJobGroup(marker, marker)
+    try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup(marker).nonEmpty))
+    sc.statusTracker.getJobIdsForGroup(group).length
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -40,6 +40,35 @@ class CoresetSpec extends SparkSpec {
     assert(mx.toDouble / mn < 1.6, s"strata too unbalanced: ${counts.toSeq}")
   }
 
+  // Ordered by label over 8 partitions: label 0 fills the first half,
+  // labels 1 and 2 a quarter each.
+  private lazy val byLabel = {
+    val d = spark.range(0, 4000, 1, 8).select(col("id"),
+      when(col("id") < 2000, 0.0).when(col("id") < 3000, 1.0).otherwise(2.0).as("y"),
+      (col("id") * 7 % 13).cast("double").as("f")).cache()
+    d.count(); d
+  }
+
+  test("uniform sample keeps each label's share of an input ordered by label") {
+    val out = Coreset.uniform(byLabel, 400, 5L)
+    assert(out.count() == 400)
+    val share = out.groupBy("y").count().collect().map(r => r.getDouble(0) -> r.getLong(1) / 400.0).toMap
+    for ((label, expected) <- Seq(0.0 -> 0.5, 1.0 -> 0.25, 2.0 -> 0.25))
+      assert(math.abs(share.getOrElse(label, 0.0) - expected) <= 0.25 * expected,
+             s"label shares $share, expected 0.5 / 0.25 / 0.25")
+  }
+
+  test("uniform and stratified samples do not depend on partitioning") {
+    val samplers = Seq[org.apache.spark.sql.DataFrame => org.apache.spark.sql.DataFrame](
+      Coreset.uniform(_, 300, 9L), Coreset.stratified(_, "y", 300, 9L))
+    for (sample <- samplers) {
+      val ids = Seq(byLabel.coalesce(1), byLabel.repartition(5))
+        .map(df => sample(df).select("id").collect().map(_.getLong(0)).sorted.toSeq)
+      assert(ids.head.size == 300)
+      assert(ids.head == ids(1), s"${ids.head.diff(ids(1)).size} of 300 ids differ")
+    }
+  }
+
   test("build dispatches stratified for classification") {
     val cfg = ArdaConfig(coresetStrategy = CoresetStrategy.Stratified, coresetSize = 300)
     val out = Coreset.build(labelled(3000), "y", TaskKind.Classification, cfg)

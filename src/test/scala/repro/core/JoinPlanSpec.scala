@@ -85,7 +85,16 @@ class JoinPlanSpec extends SparkSpec {
     val base = Seq(1L).toDF("k")
     val f = Seq((1L, 1.0, 2.0, "s")).toDF("fk", "a", "b", "c")
     val p = JoinPlan.plan(base, Seq(cand("t", f)))
-    assert(p.head.nFeatures == 3)
+    assert(p.head.nFeatures == 10) // a, b and up to 8 indicators of c
+  }
+
+  test("budget grouping counts a string column by its one-hot width") {
+    val base = Seq(1L).toDF("k")
+    val planned = JoinPlan.plan(base, Seq("a", "b", "c").map(n =>
+      cand(n, Seq((1L, "x"), (2L, "y")).toDF("fk", "s"), score = Some(0.5))))
+    assert(planned.map(_.nFeatures) == Seq(8, 8, 8))
+    val g = JoinPlan.group(planned, GroupingStrategy.BudgetJoin, 20)
+    assert(g.map(_.map(_.cand.name)) == Seq(Seq("a", "b"), Seq("c")))
   }
 
   test("expandAlternatives emits one candidate per alt key option") {

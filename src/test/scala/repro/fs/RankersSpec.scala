@@ -1,5 +1,9 @@
 package repro.fs
 
+import org.apache.spark.ml.classification.LogisticRegression
+import org.apache.spark.ml.feature.VectorAssembler
+import org.apache.spark.ml.regression.LinearRegression
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.TaskKind
@@ -90,5 +94,34 @@ class RankersSpec extends SparkSpec {
   test("rankers return one score per feature") {
     for (r <- Seq[Ranker](Rankers.RandomForestRanker, Rankers.MutualInfoRanker, Rankers.FTestRanker))
       assert(r.rank(cls, feats, "y", TaskKind.Classification, 1L).length == feats.length)
+  }
+
+  /** Spark ML's |coefficient_j|·sd_j: its coefficients on the scale of
+    * standardized columns, where it minimizes the same objective.
+    */
+  private def sparkStandardized(df: DataFrame, fit: DataFrame => Array[Double]): Array[Double] = {
+    val coefficients = fit(new VectorAssembler().setInputCols(feats.toArray).setOutputCol("fv").transform(df))
+    val sds = df.select(feats.map(f => stddev_samp(f)): _*).head.toSeq.map(_.asInstanceOf[Double])
+    coefficients.zip(sds).map { case (c, sd) => math.abs(c) * sd }
+  }
+
+  private def assertParity(ours: Array[Double], reference: Array[Double]): Unit = {
+    val tolerance = 0.05 * ours.max
+    assert(ours.zip(reference).forall { case (a, b) => math.abs(a - b) <= tolerance },
+           s"ours ${ours.toSeq} vs Spark ML ${reference.toSeq}")
+  }
+
+  test("lasso weights match Spark ML's on the standardized scale") {
+    val reference = sparkStandardized(reg, a =>
+      new LinearRegression().setFeaturesCol("fv").setLabelCol("y")
+        .setElasticNetParam(1.0).setRegParam(0.02).setMaxIter(50).fit(a).coefficients.toArray)
+    assertParity(Rankers.LassoRanker.rank(reg, feats, "y", TaskKind.Regression, 1L), reference)
+  }
+
+  test("binary logistic weights match Spark ML's on the standardized scale") {
+    val reference = sparkStandardized(cls, a =>
+      new LogisticRegression().setFeaturesCol("fv").setLabelCol("y")
+        .setElasticNetParam(1.0).setRegParam(0.01).setMaxIter(50).fit(a).coefficients.toArray)
+    assertParity(Rankers.LogisticRanker.rank(cls, feats, "y", TaskKind.Classification, 1L), reference)
   }
 }

@@ -2,8 +2,6 @@ package repro.ml
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.automl.AutoMLLite
 import repro.core.TaskKind
@@ -81,18 +79,6 @@ class EstimatorSpec extends SparkSpec {
   }
 
   test("autoScore on a cached frame runs exactly one Spark job, the collect") {
-    val sc = spark.sparkContext
-    def jobsIn(group: String)(body: => Unit): Int = {
-      sc.setJobGroup(group, group)
-      try body finally sc.clearJobGroup()
-      // The status store reads the listener bus in order: once a later
-      // marker job shows up, every job of `group` has too.
-      val marker = s"$group-marker"
-      sc.setJobGroup(marker, marker)
-      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-      eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup(marker).nonEmpty))
-      sc.statusTracker.getJobIdsForGroup(group).length
-    }
     val (cls, reg, feats) = (pinCls, pinReg, Seq("sig", "noise")) // filled caches
     assert(jobsIn("autoScore-cls")(Estimator.autoScore(cls, feats, "y", TaskKind.Classification)) == 1)
     assert(jobsIn("autoScore-reg")(Estimator.autoScore(reg, feats, "y", TaskKind.Regression)) == 1)

@@ -40,8 +40,8 @@ class LocalForestSpec extends SparkSpec {
                           seed: Long): (Double, Double, Array[Double], Array[Double]) = {
     val (tr, te) = AutoMLLite.split(df, seed)
     val sparkModel = AutoMLLite.forest(task, "y", trees, depth, seed)
-      .fit(Estimator.assemble(tr, feats))
-    val sparkScore = AutoMLLite.score(task, sparkModel, Estimator.assemble(te, feats), "y")
+      .fit(AutoMLLite.assemble(tr, feats))
+    val sparkScore = AutoMLLite.score(task, sparkModel, AutoMLLite.assemble(te, feats), "y")
     val sparkImp = sparkModel match {
       case m: RandomForestClassificationModel => m.featureImportances.toArray
       case m: RandomForestRegressionModel     => m.featureImportances.toArray
