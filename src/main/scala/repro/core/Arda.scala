@@ -16,7 +16,7 @@ import repro.ml.Estimator
   */
 object Arda {
 
-  /** Outcome of one ARDA run with a given selector. */
+  /** Outcome of one ARDA run with a given selector; `trainedOn` lists the final estimator's columns. */
   final case class ArdaResult(
       dataset: String,
       method: String,
@@ -24,6 +24,7 @@ object Arda {
       augmentedScore: Double,
       selected: Seq[String],
       keptCandidates: Seq[String],
+      trainedOn: Seq[String],
       fsSeconds: Double,
       totalSeconds: Double,
       nCandidates: Int,
@@ -39,7 +40,7 @@ object Arda {
 }
 
 /** Selector-independent ARDA state: prepared base, coreset, join plan and
-  * per-batch joined/prepared frames (all cached).
+  * per-batch joined frames (all cached), each with its fitted statistics.
   */
 final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
   import Arda._
@@ -60,16 +61,14 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
   lazy val baselineScore: Double =
     Estimator.autoScore(baseFull, baseFeats, taskDef.target, taskDef.task, cfg.seed)
 
-  /** Coreset of the base table (pre-join sampling strategies; Sketch is
-    * applied post-join by the coreset experiments, not here).
+  /** Coreset of the prepared base table (pre-join sampling strategies;
+    * Sketch is applied post-join by the coreset experiments, not here).
     */
   lazy val coreset: DataFrame =
-    cache(Coreset.build(taskDef.base, taskDef.target, taskDef.task, cfg))
+    cache(Coreset.build(baseFull, taskDef.target, taskDef.task, cfg))
 
-  lazy val coresetPrepared: (DataFrame, Seq[String]) = {
-    val (df, feats) = Preprocess.prepare(coreset, taskDef.baseFeatureCols, cfg.seed)
-    (cache(df), feats)
-  }
+  /** The coreset and its features: sampled from the prepared base. */
+  lazy val coresetPrepared: (DataFrame, Seq[String]) = (coreset, baseFeats)
 
   lazy val planned: Seq[JoinPlan.PlannedJoin] = JoinPlan.plan(taskDef.base, taskDef.candidates)
 
@@ -89,19 +88,22 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
       if ((i + 1) % 8 == 0) j.localCheckpoint(true) else j
     }
 
-  /** Each batch joined against the coreset and preprocessed: (batch,
-    * frame keyed by id, new feature columns). Cached once, shared by all
-    * selectors.
-    */
-  lazy val batchFrames: Seq[(Seq[JoinPlan.PlannedJoin], DataFrame, Seq[String])] = {
-    val (coreDf, _) = coresetPrepared
+  /** Each batch joined against the coreset (cached) and fitted on its new columns. */
+  private lazy val batchJoins: Seq[(Seq[JoinPlan.PlannedJoin], DataFrame, Preprocess.Stats)] =
     batches.map { batch =>
-      val joined = foldJoins(coreDf, batch.map(_.cand))
-      val newRaw = joined.columns.filterNot(coreDf.columns.contains).toSeq
-      val (prepared, newFeats) = Preprocess.prepare(joined, newRaw, cfg.seed)
-      (batch, cache(prepared.select((coreDf.columns.toSeq ++ newFeats).distinct.map(col): _*)), newFeats)
+      val joined = cache(foldJoins(coreset, batch.map(_.cand)))
+      val newRaw = joined.columns.filterNot(coreset.columns.contains).toSeq
+      (batch, joined, Preprocess.fit(joined, newRaw, cfg.seed))
     }
-  }
+
+  /** Each batch's joined coreset prepared with its statistics: (batch,
+    * frame keyed by id, new feature columns). Shared by all selectors.
+    */
+  lazy val batchFrames: Seq[(Seq[JoinPlan.PlannedJoin], DataFrame, Seq[String])] =
+    batchJoins.map { case (batch, joined, stats) =>
+      (batch, stats(joined).select((coreset.columns.toSeq ++ stats.features).distinct.map(col): _*),
+       stats.features)
+    }
 
   /** The planned candidate a prepared feature column came from. Columns
     * are `<candidate>__<col>[__is_k]` and alternate-key candidates are
@@ -110,27 +112,20 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
   def sourceOf(feature: String): Option[String] =
     planned.map(_.cand.name).filter(n => feature.startsWith(s"${n}__")).maxByOption(_.length)
 
-  /** The raw (pre-binarization) column behind a prepared feature name. */
-  private def rawOf(feature: String): String = {
-    val i = feature.indexOf("__is_")
-    if (i < 0) feature else feature.substring(0, i)
-  }
-
   /** Run feature selection batch-by-batch, then train the final estimator
     * on the augmented full base table.
     */
   def runSelector(selector: FeatureSelector): ArdaResult = {
     require(selector.supports(taskDef.task), s"${selector.name} does not support ${taskDef.task}")
     val t0 = System.nanoTime()
-    val (coreDf, coreFeats) = coresetPrepared
-    var acc = coreDf
+    var acc = coreset
     var kept = Vector.empty[String]
     var fsNanos = 0L
     for ((_, frame, newFeats) <- batchFrames if newFeats.nonEmpty) {
       val selDf =
         if (kept.isEmpty) frame
         else acc.select((col(id) +: kept.map(col)): _*).join(frame, Seq(id))
-      val feats = (coreFeats ++ kept ++ newFeats).distinct
+      val feats = (baseFeats ++ kept ++ newFeats).distinct
       // Sketch coresets apply *after* the join (§3.1): selection sees the
       // count-sketched rows, while batch assembly keeps the real rows.
       val selInput =
@@ -148,17 +143,18 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
     }
 
     // Final estimate (§3 "Final estimate"): augment the *full* base table
-    // with the tables contributing selected features and retrain.
+    // with the tables contributing selected features, prepare them as
+    // their batches were, and retrain on exactly the selected columns.
     val keptCands = kept.flatMap(sourceOf).distinct
+    val trainedOn = baseFeats ++ kept
     val augScore =
       if (kept.isEmpty) baselineScore
       else {
         val cands = filtered.map(_.cand).filter(c => keptCands.contains(c.name))
-        val joined = foldJoins(baseFull, cands)
-        val rawKept = kept.map(rawOf).distinct.filter(joined.columns.contains)
-        val (prepared, newFeats) = Preprocess.prepare(joined, rawKept, cfg.seed)
-        Estimator.autoScore(prepared, (baseFeats ++ newFeats).distinct,
-                            taskDef.target, taskDef.task, cfg.seed)
+        val augmented = batchJoins.foldLeft(foldJoins(baseFull, cands)) {
+          case (d, (_, _, stats)) => stats.restrictedTo(kept)(d)
+        }
+        Estimator.autoScore(augmented, trainedOn, taskDef.target, taskDef.task, cfg.seed)
       }
 
     ArdaResult(
@@ -168,6 +164,7 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
       augmentedScore = augScore,
       selected = kept,
       keptCandidates = keptCands,
+      trainedOn = trainedOn,
       fsSeconds = fsNanos / 1e9,
       totalSeconds = (System.nanoTime() - t0) / 1e9,
       nCandidates = planned.size,

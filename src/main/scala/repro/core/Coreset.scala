@@ -49,8 +49,8 @@ object Coreset {
         uniform(df, cfg.coresetSize, cfg.seed)
     }
 
-  /** OSNAP / count-sketch of rows (Definitions 1–2): every row is hashed
-    * to one of `rows` buckets with a random ±1 sign and bucket sums are
+  /** OSNAP / count-sketch of rows (Definitions 1–2): seeded row hashes give every
+    * row one of `rows` buckets and a ±1 sign (at any partitioning); bucket sums are
     * taken per feature — a sparse Π with one nonzero per column of Πᵀ.
     * For classification the sketch is applied independently within each
     * label stratum (the paper's analogue of stratified sampling), so the
@@ -70,8 +70,8 @@ object Coreset {
         math.max(2, rows / math.max(1, k))
       case TaskKind.Regression => rows
     }
-    val bucket = (rand(seed) * perBucket).cast(IntegerType)
-    val sign   = when(rand(seed + 1) < 0.5, -1.0).otherwise(1.0)
+    val bucket = pmod(rowHash(df, seed), lit(perBucket.toLong)).cast(IntegerType)
+    val sign   = when(pmod(rowHash(df, seed + 1), lit(2L)) === 0, -1.0).otherwise(1.0)
     val tagged = df.withColumn("__bkt", bucket).withColumn("__sgn", sign)
     val sums   = features.map(c => sum(col("__sgn") * col(c).cast(DoubleType)).as(c))
     task match {

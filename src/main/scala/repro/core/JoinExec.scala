@@ -121,8 +121,8 @@ object JoinExec {
     * bracketing foreign rows (largest foreign key ≤ x and smallest ≥ x)
     * and either pick the nearest (NN) or linearly interpolate (two-way NN,
     * with x = λ·y_low + (1−λ)·y_high ⇒ λ = (y_high−x)/(y_high−y_low)).
-    * Categorical payloads are chosen uniformly at random between the two
-    * bracketing rows, per §4.
+    * Categorical payloads are picked uniformly between the two bracketing
+    * rows (§4) by a seeded hash of the base row, at any partitioning.
     */
   private def asOfJoin(left: DataFrame, foreign: DataFrame,
                        hardKeys: Seq[KeyPair], soft: KeyPair,
@@ -178,6 +178,7 @@ object JoinExec {
     val dNext = when(col("__knext").isNotNull, abs(x - col("__knext")))
     val withinTol: Column => Column = dist =>
       tolerance.map(t => dist <= lit(t)).getOrElse(lit(true))
+    val hashPicksPrev = pmod(xxhash64(leftCols.map(col) :+ lit(seed): _*), lit(2L)) === 0
 
     val out = payload.foldLeft(d) { (dd, p) =>
       val prevV = col(s"__prev_$p"); val nextV = col(s"__next_$p")
@@ -198,7 +199,7 @@ object JoinExec {
               .when(col("__knext").isNotNull && withinTol(dNext), nextV)
           } else {
             // Categorical: uniform pick between the bracketing rows (§4).
-            when(both, when(rand(seed) < 0.5, prevV).otherwise(nextV))
+            when(both, when(hashPicksPrev, prevV).otherwise(nextV))
               .when(col("__kprev").isNotNull && withinTol(dPrev), prevV)
               .when(col("__knext").isNotNull && withinTol(dNext), nextV)
           }

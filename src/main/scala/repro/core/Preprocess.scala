@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -9,8 +9,8 @@ import org.apache.spark.sql.types._
   * double), a draw from the observed values for categorical columns —
   * followed by one-hot binarization of the categoricals.
   *
-  * Everything is expressed as distributed DataFrame operations; only the
-  * per-column medians / category inventories (small) reach the driver.
+  * [[fit]] computes a row set's statistics once; only they (small) reach
+  * the driver. Applying them is distributed DataFrame operations.
   */
 object Preprocess {
 
@@ -44,75 +44,95 @@ object Preprocess {
     among.filter(cat)
   }
 
-  /** One-hot binarize each categorical column into indicator columns for
-    * its up-to-`maxLevels` most frequent values; the source column is
-    * dropped. Rarely-seen levels map to all-zero indicators, which is the
-    * conventional reference encoding.
+  /** A row set's statistics from [[fit]]: the medians and draws [[impute]]
+    * fills nulls with, and the levels [[binarize]] makes indicators of, by
+    * rank. `apply` imputes, then binarizes any frame with these columns,
+    * so `c__is_i` is the same level of `c` in every frame it prepares.
     */
-  def binarize(df: DataFrame, cols: Seq[String], maxLevels: Int = MaxLevels): DataFrame = {
-    cols.foldLeft(df) { (d, c) =>
-      val levels = d
-        .filter(col(c).isNotNull)
-        .groupBy(col(c)).count()
-        .orderBy(desc("count"), col(c))
-        .limit(maxLevels)
-        .collect()
-        .map(_.get(0).toString)
-      val withInd = levels.zipWithIndex.foldLeft(d) { case (dd, (lv, i)) =>
-        dd.withColumn(s"${c}__is_$i", when(col(c) === lit(lv), 1.0).otherwise(0.0))
+  final case class Stats(medians: Seq[(String, Double)], draws: Seq[(String, Seq[String])],
+                         levels: Seq[(String, Seq[String])], seed: Long) {
+    /** The prepared feature columns: the numerics, then the indicators. */
+    def features: Seq[String] = (medians.map(_._1) ++ levels.flatMap(indicators)).distinct
+
+    /** These statistics for only the columns that make `feats`. */
+    def restrictedTo(feats: Seq[String]): Stats = {
+      val cats = levels.filter(indicators(_).exists(feats.contains)).map(_._1).toSet
+      Stats(medians.filter(m => feats.contains(m._1)), draws.filter(d => cats(d._1)),
+            levels.filter(l => cats(l._1)), seed)
+    }
+
+    def apply(df: DataFrame): DataFrame = {
+      val numeric = medians.foldLeft(df) { case (d, (c, m)) =>
+        d.withColumn(c, coalesce(col(c).cast(DoubleType), lit(m)))
       }
-      withInd.drop(c)
+      val imputed = draws.foldLeft(numeric) { case (d, (c, values)) =>
+        val rowHash = xxhash64(d.columns.map(col) :+ lit(seed + c.hashCode): _*)
+        d.withColumn(c, coalesce(col(c),
+          if (values.isEmpty) lit("∅")
+          else element_at(array(values.map(lit): _*),
+                          (pmod(rowHash, lit(values.length.toLong)) + 1).cast(IntegerType))))
+      }
+      levels.foldLeft(imputed) { case (d, lv @ (c, values)) =>
+        values.zip(indicators(lv)).foldLeft(d) { case (dd, (v, ind)) =>
+          dd.withColumn(ind, when(col(c) === lit(v), 1.0).otherwise(0.0))
+        }.drop(c)
+      }
     }
   }
 
-  /** Impute nulls: numeric → median (via approxQuantile), categorical →
-    * a draw from the column's 64 smallest observed distinct values, picked
-    * by a seeded hash of the row, so a row gets the same fill at any
-    * partitioning.
-    */
-  def impute(df: DataFrame, cols: Seq[String], seed: Long = 7L): DataFrame = {
-    val nums = numericCols(df, cols)
-    val cats = categoricalCols(df, cols)
+  private def indicators(levels: (String, Seq[String])): Seq[String] =
+    levels._2.indices.map(i => s"${levels._1}__is_$i")
 
+  private def levelsOf(df: DataFrame, cols: Seq[String], maxLevels: Int): Seq[(String, Seq[String])] =
+    cols.map { c =>
+      c -> df.filter(col(c).isNotNull).groupBy(col(c)).count()
+        .orderBy(desc("count"), col(c)).limit(maxLevels)
+        .collect().map(_.get(0).toString).toSeq
+    }
+
+  private def imputing(df: DataFrame, cols: Seq[String], seed: Long): Stats = {
+    val nums = numericCols(df, cols)
     // One multi-column approxQuantile pass: per-column calls would launch
     // one job per feature, which dominates wide (500+-column) batches.
-    val medians: Map[String, Double] =
-      if (nums.isEmpty) Map.empty
-      else {
-        val qs = df.stat.approxQuantile(nums.toArray, Array(0.5), 0.01)
-        nums.zip(qs).collect {
-          case (c, arr) if arr.nonEmpty => c -> arr.head
-        }.toMap
-      }
-
-    val afterNum = nums.foldLeft(df) { (d, c) =>
-      val m = medians.getOrElse(c, 0.0)
-      d.withColumn(c, coalesce(col(c).cast(DoubleType), lit(m)))
+    val medians =
+      if (nums.isEmpty) Nil
+      else nums.zip(df.stat.approxQuantile(nums.toArray, Array(0.5), 0.01))
+        .map { case (c, q) => c -> q.headOption.getOrElse(0.0) }
+    // Ordered before the limit: the draws must not depend on partitioning.
+    val draws = categoricalCols(df, cols).map { c =>
+      c -> df.filter(col(c).isNotNull).select(col(c)).distinct()
+        .orderBy(col(c)).limit(64).collect().map(_.get(0).toString).toSeq
     }
-
-    cats.foldLeft(afterNum) { (d, c) =>
-      // Ordered before the limit: the inventory must not depend on partitioning.
-      val values = d.filter(col(c).isNotNull).select(col(c)).distinct()
-        .orderBy(col(c)).limit(64).collect().map(_.get(0).toString)
-      if (values.isEmpty) d.withColumn(c, coalesce(col(c), lit("∅")))
-      else {
-        val rowHash = xxhash64(d.columns.map(col) :+ lit(seed + c.hashCode): _*)
-        val pick: Column =
-          element_at(array(values.map(lit): _*),
-                     (pmod(rowHash, lit(values.length.toLong)) + 1).cast(IntegerType))
-        d.withColumn(c, coalesce(col(c), pick))
-      }
-    }
+    Stats(medians, draws, Nil, seed)
   }
 
-  /** Full preparation of a joined table: impute `featureCols`, then
-    * binarize its categoricals. Returns (prepared df, the numeric features
-    * followed by the indicator columns, all doubles).
+  /** One-hot binarize each categorical column into indicator columns for
+    * its up-to-`maxLevels` most frequent values (ties by value); the source
+    * column is dropped. Other levels map to all-zero indicators, which is
+    * the conventional reference encoding.
+    */
+  def binarize(df: DataFrame, cols: Seq[String], maxLevels: Int = MaxLevels): DataFrame =
+    Stats(Nil, Nil, levelsOf(df, cols, maxLevels), 0L)(df)
+
+  /** Impute nulls: numeric → median (via approxQuantile, cast to double),
+    * categorical → a draw from the column's 64 smallest observed distinct
+    * values, picked by a seeded hash of the row, so a row gets the same
+    * fill at any partitioning.
+    */
+  def impute(df: DataFrame, cols: Seq[String], seed: Long = 7L): DataFrame =
+    imputing(df, cols, seed)(df)
+
+  /** The [[Stats]] of `df`'s `featureCols`, levels counted after imputation. */
+  def fit(df: DataFrame, featureCols: Seq[String], seed: Long = 7L): Stats = {
+    val stats = imputing(df, featureCols, seed)
+    stats.copy(levels = levelsOf(stats(df), stats.draws.map(_._1), MaxLevels))
+  }
+
+  /** Full preparation of a joined table: [[fit]], then apply. Returns
+    * (prepared df, its feature columns).
     */
   def prepare(df: DataFrame, featureCols: Seq[String], seed: Long = 7L): (DataFrame, Seq[String]) = {
-    val cats   = categoricalCols(df, featureCols)
-    val binned = binarize(impute(df, featureCols, seed), cats)
-    val indicators = binned.columns.filter(c => cats.exists(s => c.startsWith(s + "__is_")))
-    (binned, (numericCols(df, featureCols) ++ indicators).distinct)
+    val stats = fit(df, featureCols, seed)
+    (stats(df), stats.features)
   }
 }

@@ -32,6 +32,17 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     sc.statusTracker.getJobIdsForGroup(group).length
   }
 
+  /** `body` under the session settings `kvs`, restored afterwards. */
+  def withConf[A](kvs: (String, String)*)(body: => A): A = {
+    val before = kvs.map { case (k, _) => k -> spark.conf.getOption(k) }
+    kvs.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body
+    finally before.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None)    => spark.conf.unset(k)
+    }
+  }
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

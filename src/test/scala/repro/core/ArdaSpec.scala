@@ -1,9 +1,10 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.data.SynthWorlds
-import repro.fs.{FeatureSelectors, Rankers, Rifs}
+import repro.fs.{FeatureSelector, FeatureSelectors, Rankers, Rifs}
 
 /** End-to-end ARDA on a small world: the augmented model must beat the
   * baseline, signal tables must be discovered, and every configuration
@@ -106,5 +107,40 @@ class ArdaSpec extends SparkSpec {
     val r = Arda.run(sub, cfg, new FeatureSelectors.Ranked(Rankers.RandomForestRanker))
     assert(r.augmentedScore > r.baselineScore,
            s"aug ${r.augmentedScore} vs base ${r.baselineScore}")
+  }
+
+  test("the final estimate runs one Spark job, its collect") {
+    // At most 7 candidates: foldJoins makes no checkpoint. Adaptive
+    // execution submits every shuffle stage as a job of its own; without
+    // it, one action is one job.
+    val p = new ArdaPipeline(SynthWorlds.schoolL(spark, nTables = 6).task, cfg)
+    try {
+      p.batchFrames
+      p.baselineScore
+      val jobs = withConf("spark.sql.adaptive.enabled" -> "false") {
+        jobsIn("final-estimate")(p.runSelector(FeatureSelectors.KeepAll))
+      }
+      assert(jobs == 1, s"$jobs jobs")
+    } finally p.close()
+  }
+
+  test("the final estimator trains on exactly the selected columns") {
+    val t = spark.range(0, 40, 1, 2).select(col("id").as("fk"),
+      element_at(array(lit("u"), lit("v"), lit("w")), (col("id") % 3 + 1).cast("int")).as("c"))
+    val base = spark.range(0, 400, 1, 4)
+      .select(col("id"), (col("id") % 40).as("k"), randn(31).as("b"), randn(32).as("y"))
+    val task = AugTask("cat", base, "y", TaskKind.Regression,
+                       Seq(CandidateJoin("t", t, Seq(KeyPair("k", "fk", KeyKind.Hard)))))
+    val oneIndicator = new FeatureSelector {
+      val name = "one indicator"
+      def select(df: DataFrame, features: Seq[String], target: String,
+                 task: TaskKind, seed: Long): Seq[String] = features.filter(_ == "t__c__is_1")
+    }
+    val p = new ArdaPipeline(task, cfg)
+    try {
+      val r = p.runSelector(oneIndicator)
+      assert(r.selected == Seq("t__c__is_1"))
+      assert(r.trainedOn == p.baseFeats ++ r.selected)
+    } finally p.close()
   }
 }

@@ -69,6 +69,16 @@ class CoresetSpec extends SparkSpec {
     }
   }
 
+  test("sketches do not depend on partitioning") {
+    for (task <- Seq(TaskKind.Classification, TaskKind.Regression)) {
+      val sketches = Seq(byLabel.coalesce(1), byLabel.repartition(5)).map { df =>
+        Coreset.sketch(df, Seq("f"), "y", task, 60, 9L)
+          .collect().map(r => (r.getDouble(0), r.getDouble(1))).sorted.toSeq
+      }
+      assert(sketches.head == sketches(1), s"$task")
+    }
+  }
+
   test("build dispatches stratified for classification") {
     val cfg = ArdaConfig(coresetStrategy = CoresetStrategy.Stratified, coresetSize = 300)
     val out = Coreset.build(labelled(3000), "y", TaskKind.Classification, cfg)

@@ -255,6 +255,27 @@ class JoinExecSpec extends SparkSpec {
     assert(m(1L) == 100.0 && m(2L) == 200.0)
   }
 
+  test("two-way NN join picks the same categorical values at any shuffle partitioning") {
+    // Base row (h, k + 0.5) sits between foreign rows (h, k) and (h, k + 1).
+    val base = spark.range(0, 400, 1, 4)
+      .select(col("id"), (col("id") % 4).as("h"), (floor(col("id") / 4) + 0.5).as("t"))
+    val f = spark.range(0, 400, 1, 4).select((col("id") % 4).as("fh"),
+      floor(col("id") / 4).cast(DoubleType).as("ft"), col("id").cast("string").as("s"))
+    val cand = CandidateJoin("f", f,
+      Seq(KeyPair("h", "fh", KeyKind.Hard), KeyPair("t", "ft", KeyKind.Soft)))
+    // Without adaptive execution, which would coalesce the small shuffle
+    // back to one partition.
+    val picks = Seq("1", "7").map { n =>
+      withConf("spark.sql.shuffle.partitions" -> n, "spark.sql.adaptive.enabled" -> "false") {
+        JoinExec.join(base, cand).select("id", "f__s").collect()
+          .map(r => r.getLong(0) -> r.getString(1)).toMap
+      }
+    }
+    assert(picks.head.size == 400)
+    val differ = picks.head.count { case (id, v) => picks(1)(id) != v }
+    assert(differ == 0, s"$differ of 400 picks differ")
+  }
+
   test("soft join preserves all base rows and columns") {
     val base = Seq((1L, 5.0, "x"), (2L, 7.0, "y")).toDF("id", "t", "extra")
     val f = Seq((6.0, 1.0)).toDF("ft", "v")

@@ -151,4 +151,15 @@ class PreprocessSpec extends SparkSpec {
     val (out, _) = Preprocess.prepare(df, Seq("f", "c"))
     assert(out.count() == 3)
   }
+
+  test("statistics fitted on one frame encode another frame's levels the same way") {
+    val fitOn = Seq("b", "b", "b", "a", "c").toDF("s")
+    val applyTo = Seq("a", "a", "a", "b", "c").toDF("s")
+    val stats = Preprocess.fit(fitOn, Seq("s"))
+    for (df <- Seq(fitOn, applyTo)) {
+      val marked = stats(df.withColumn("orig", col("s"))).filter(col("s__is_0") === 1.0)
+        .select("orig").distinct().collect().map(_.getString(0)).toSeq
+      assert(marked == Seq("b"))
+    }
+  }
 }
