@@ -1,124 +1,112 @@
 package repro.automl
 
-import org.apache.spark.ml.{Model, Estimator => Learner}
-import org.apache.spark.ml.classification.{GBTClassifier, LogisticRegression, RandomForestClassifier}
-import org.apache.spark.ml.feature.VectorAssembler
-import org.apache.spark.ml.regression.{GBTRegressor, LinearRegression, RandomForestRegressor}
+import breeze.linalg.DenseVector
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.core.TaskKind
-import repro.ml.Estimator
+import repro.ml.{Estimator, Linear, LocalForest, MatrixOps}
+import repro.ml.MatrixOps.LocalData
 
 /** Substitute for the closed AutoML systems the paper compares against
   * (Microsoft Azure AutoML, Alpine Meadow): a time-budgeted sequential
-  * model + hyperparameter search over Spark-ML Random Forests, gradient
-  * boosted trees and linear models. Plays the same role in Tables 1/6 —
-  * an expensive estimator run directly on the base table ("baseline") or
+  * model + hyperparameter search over Random Forests, linear models and
+  * gradient-boosted trees. Plays the same role in Tables 1/6 — an
+  * expensive estimator run directly on the base table ("baseline") or
   * on the fully-materialized join ("all features"), with no ARDA
-  * selection in the loop. Documented in DESIGN.md.
+  * selection in the loop. Documented in DESIGN.md. It fits as every ARDA
+  * fit does, on the driver over the frame collected in canonical row
+  * order, so its score depends on neither partitioning nor cache state.
   */
 object AutoMLLite {
 
   /** Random Forest shapes tried first, as (trees, depth). */
   private val ForestShapes = Seq((40, 6), (80, 8), (120, 8))
 
-  /** Column holding the assembled feature vector. */
-  private val FeaturesCol = "__fv"
+  /** ℓ2 penalties of the linear models tried next, and their iterations. */
+  private val RidgePenalties = Seq(0.0, 0.01)
+  private val RidgeIterations = 60
 
-  /** Column every model fitted here predicts into. */
-  private val PredictionCol = "__p"
+  /** Gradient-boosted trees, tried last: rounds, tree depth and step. */
+  private val BoostRounds = 15
+  private val BoostDepth = 5
+  private val BoostStep = 0.1
 
-  /** Nulls filled with 0 and `features` assembled into [[FeaturesCol]],
-    * the input of every model fitted here. coalesce(4): frames spread over
-    * many partitions spend more time scheduling tiny tasks per tree level
-    * than computing. It groups cached partitions by block location, so a
-    * first fit over an unfilled cache can see another row order than
-    * later fits.
+  /** Best holdout score found within `budgetSeconds` (accuracy, or −MAE).
+    * The first candidate runs whatever the budget.
     */
-  def assemble(df: DataFrame, features: Seq[String]): DataFrame =
-    new VectorAssembler().setInputCols(features.toArray).setOutputCol(FeaturesCol)
-      .transform(df.na.fill(0.0, features)).coalesce(4)
-
-  /** Deterministic 70/30 split on a seeded rand column. Spark seeds `rand`
-    * per partition, so the split depends on the frame's partitioning.
-    */
-  def split(df: DataFrame, seed: Long): (DataFrame, DataFrame) = {
-    val tagged = df.withColumn("__u", rand(seed))
-    (tagged.filter(col("__u") < 0.7).drop("__u"),
-     tagged.filter(col("__u") >= 0.7).drop("__u"))
-  }
-
-  /** The task's Spark ML Random Forest over [[FeaturesCol]], predicting
-    * `target` into [[PredictionCol]].
-    */
-  def forest(task: TaskKind, target: String, trees: Int, depth: Int,
-             seed: Long): Learner[_ <: Model[_]] = task match {
-    case TaskKind.Classification =>
-      new RandomForestClassifier()
-        .setFeaturesCol(FeaturesCol).setLabelCol(target).setPredictionCol(PredictionCol)
-        .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Estimator.Bins).setSeed(seed)
-    case TaskKind.Regression =>
-      new RandomForestRegressor()
-        .setFeaturesCol(FeaturesCol).setLabelCol(target).setPredictionCol(PredictionCol)
-        .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Estimator.Bins).setSeed(seed)
-  }
-
-  /** Higher-is-better score of `model` on the assembled frame `test`: its
-    * predictions and `target` are collected and scored by
-    * [[Estimator.score]].
-    */
-  def score(task: TaskKind, model: Model[_], test: DataFrame, target: String): Double = {
-    val rows = model.transform(test).select(col(PredictionCol), col(target).cast("double")).collect()
-    Estimator.score(task, rows.map(_.getDouble(0)), rows.map(_.getDouble(1)))
-  }
-
-  /** Best holdout score found within `budgetSeconds` (accuracy, or −MAE). */
   def search(df: DataFrame, features: Seq[String], target: String,
              task: TaskKind, budgetSeconds: Double = 40.0, seed: Long = 17L): Double = {
     if (features.isEmpty) return Double.MinValue
-    val (tr0, te0) = split(df, seed)
-    val tr = assemble(tr0, features).cache()
-    val te = assemble(te0, features).cache()
-    tr.count(); te.count()
-
+    val data = MatrixOps.collect(df, features, target)
+    val (train, test) = LocalForest.split(data.y.length, seed)
     val deadline = System.nanoTime() + (budgetSeconds * 1e9).toLong
-    val nClasses = task match {
-      case TaskKind.Classification => tr.select(target).distinct().count().toInt
-      case TaskKind.Regression     => 0
-    }
 
-    val forests = ForestShapes.map { case (t, d) => forest(task, target, t, d, seed) }
-    val others: Seq[Learner[_ <: Model[_]]] = task match {
-      case TaskKind.Classification =>
-        val lr = Seq(0.0, 0.01).map { r =>
-          new LogisticRegression().setFeaturesCol(FeaturesCol).setLabelCol(target)
-            .setPredictionCol(PredictionCol).setRegParam(r).setMaxIter(60)
-        }
-        // GBT is binary-only in Spark ML.
-        val gbt = if (nClasses == 2) Seq(
-          new GBTClassifier().setFeaturesCol(FeaturesCol).setLabelCol(target)
-            .setPredictionCol(PredictionCol).setMaxIter(15).setMaxDepth(5).setMaxBins(Estimator.Bins).setSeed(seed)
-        ) else Nil
-        lr ++ gbt
-      case TaskKind.Regression =>
-        val lin = Seq(0.0, 0.01).map { r =>
-          new LinearRegression().setFeaturesCol(FeaturesCol).setLabelCol(target)
-            .setPredictionCol(PredictionCol).setRegParam(r).setMaxIter(60)
-        }
-        val gbt = new GBTRegressor().setFeaturesCol(FeaturesCol).setLabelCol(target)
-          .setPredictionCol(PredictionCol).setMaxIter(15).setMaxDepth(5).setMaxBins(Estimator.Bins).setSeed(seed)
-        lin :+ gbt
-    }
+    // Each candidate is fitted on the train rows when the search reaches it.
+    val candidates: Iterator[Int => Double] =
+      ForestShapes.iterator.map { case (t, d) =>
+        val model = LocalForest.fit(data, features, train, task, t, d, seed)
+        model.predict(data.x, _)
+      } ++ RidgePenalties.iterator.map(ridge(data, features, train, task, _)) ++
+        // Boosting is for regression and binary classification only, as in Spark ML.
+        (if (task == TaskKind.Regression || train.map(data.y(_)).distinct.length == 2)
+           Iterator(boost(data, features, train, task, seed))
+         else Iterator.empty)
+    def score(predict: Int => Double): Double =
+      Estimator.score(task, test.map(predict), test.map(data.y(_)))
 
-    var best = Double.MinValue
-    val it = (forests ++ others).iterator
-    var ran = 0
-    while (it.hasNext && (ran == 0 || System.nanoTime() < deadline)) {
-      best = math.max(best, score(task, it.next().fit(tr), te, target))
-      ran += 1
-    }
-    tr.unpersist(false); te.unpersist(false)
+    var best = score(candidates.next())
+    while (candidates.hasNext && System.nanoTime() < deadline) best = math.max(best, score(candidates.next()))
     best
+  }
+
+  /** The ℓ2-penalized linear model on the columns standardized over all rows:
+    * squared loss, or logistic loss one-vs-rest, predicting the largest margin.
+    */
+  private def ridge(data: LocalData, features: Seq[String], train: Array[Int],
+                    task: TaskKind, l2: Double): Int => Double = {
+    val x = MatrixOps.standardize(data.columns(features))
+    val (xTrain, yTrain) = (x(train.toIndexedSeq, ::).toDenseMatrix, data.y(train.toIndexedSeq).toDenseVector)
+    def margins(fit: Linear.Fit): DenseVector[Double] = x * fit.w + fit.b
+    task match {
+      case TaskKind.Regression =>
+        val m = margins(Linear.fit(xTrain, yTrain, Linear.Squared, 0.0, l2, RidgeIterations))
+        m(_)
+      case TaskKind.Classification =>
+        val fitted = Linear.oneVsRest(xTrain, yTrain, Linear.Logistic, 0.0, l2, RidgeIterations)
+          .map { case (c, fit) => c -> margins(fit) }
+        // Two classes fit only the larger; the smaller has margin 0.
+        val classes =
+          if (fitted.size == 1) (yTrain.toArray.min, DenseVector.zeros[Double](x.rows)) +: fitted else fitted
+        i => classes.maxBy(_._2(i))._1
+    }
+  }
+
+  /** Spark ML's gradient-boosted trees: each round is a one-tree
+    * [[LocalForest]] regression fit to the pseudo-residuals of squared
+    * error, or of log loss on the labels as ±1. The first tree fits the
+    * labels with weight 1, every later one has weight `BoostStep`.
+    */
+  private def boost(data: LocalData, features: Seq[String], train: Array[Int],
+                    task: TaskKind, seed: Long): Int => Double = {
+    val y = task match {
+      case TaskKind.Regression     => data.y.toArray
+      case TaskKind.Classification => data.y.toArray.map(2 * _ - 1)
+    }
+    val f = new Array[Double](y.length) // the ensemble's margin per row
+    var residual = y
+    for (round <- 0 until BoostRounds) {
+      val tree = LocalForest.fit(data, residual, features, train, TaskKind.Regression,
+                                 1, BoostDepth, seed + round)
+      val weight = if (round == 0) 1.0 else BoostStep
+      f.indices.foreach(i => f(i) += weight * tree.predict(data.x, i))
+      residual = Array.tabulate(y.length)(i => task match {
+        case TaskKind.Regression     => 2 * (y(i) - f(i))
+        case TaskKind.Classification => 4 * y(i) / (1 + math.exp(2 * y(i) * f(i)))
+      })
+    }
+    task match {
+      case TaskKind.Regression     => f(_)
+      case TaskKind.Classification => i => if (f(i) > 0) 1.0 else 0.0
+    }
   }
 }

@@ -112,6 +112,16 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
   def sourceOf(feature: String): Option[String] =
     planned.map(_.cand.name).filter(n => feature.startsWith(s"${n}__")).maxByOption(_.length)
 
+  /** The *full* prepared base table with the tables that make the batch
+    * features `feats` joined in and prepared as their batches were.
+    */
+  def augmentedBase(feats: Seq[String]): DataFrame = {
+    val sources = feats.flatMap(sourceOf).toSet
+    batchJoins.foldLeft(foldJoins(baseFull, filtered.map(_.cand).filter(c => sources(c.name)))) {
+      case (d, (_, _, stats)) => stats.restrictedTo(feats)(d)
+    }
+  }
+
   /** Run feature selection batch-by-batch, then train the final estimator
     * on the augmented full base table.
     */
@@ -142,20 +152,13 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
       }
     }
 
-    // Final estimate (§3 "Final estimate"): augment the *full* base table
-    // with the tables contributing selected features, prepare them as
-    // their batches were, and retrain on exactly the selected columns.
+    // Final estimate (§3 "Final estimate"): retrain on exactly the
+    // selected columns of the augmented full base table.
     val keptCands = kept.flatMap(sourceOf).distinct
     val trainedOn = baseFeats ++ kept
     val augScore =
       if (kept.isEmpty) baselineScore
-      else {
-        val cands = filtered.map(_.cand).filter(c => keptCands.contains(c.name))
-        val augmented = batchJoins.foldLeft(foldJoins(baseFull, cands)) {
-          case (d, (_, _, stats)) => stats.restrictedTo(kept)(d)
-        }
-        Estimator.autoScore(augmented, trainedOn, taskDef.target, taskDef.task, cfg.seed)
-      }
+      else Estimator.autoScore(augmentedBase(kept), trainedOn, taskDef.target, taskDef.task, cfg.seed)
 
     ArdaResult(
       dataset = taskDef.name,

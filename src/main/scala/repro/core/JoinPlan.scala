@@ -27,10 +27,10 @@ object JoinPlan {
     }
 
   /** Intersection score: the fraction of distinct base hard-key tuples
-    * that appear in the foreign table — computed with a distributed
-    * semi-join. Pure soft-key candidates score 1.0 (a nearest-neighbour
-    * join always matches something); the discovery system's own score, if
-    * present, takes precedence (§4 "Table grouping").
+    * that appear in the foreign table — one left join to its flagged
+    * distinct keys, counted in one aggregation. Pure soft-key candidates
+    * score 1.0 (a nearest-neighbour join always matches something); the
+    * discovery system's own score, if present, takes precedence (§4).
     */
   def intersectionScore(base: DataFrame, cand: CandidateJoin): Double = {
     val hard = cand.keys.filter(_.kind == KeyKind.Hard)
@@ -38,9 +38,9 @@ object JoinPlan {
     else {
       val b = base.select(hard.map(k => col(k.baseCol)): _*).distinct()
       val f = cand.table.select(hard.map(k => col(k.foreignCol).as(k.baseCol)): _*).distinct()
-      val total = b.count()
-      if (total == 0) 0.0
-      else b.join(f, hard.map(_.baseCol), "left_semi").count().toDouble / total
+        .withColumn("__hit", lit(true))
+      val counts = b.join(f, hard.map(_.baseCol), "left").agg(count(lit(1)), count(col("__hit"))).head()
+      if (counts.getLong(0) == 0) 0.0 else counts.getLong(1).toDouble / counts.getLong(0)
     }
   }
 

@@ -15,8 +15,8 @@ import repro.core.TaskKind
   * selectors, over the coreset matrix. `autoScore` (`FinalTrees` ×
   * `FinalDepth`) is the baseline and the final estimate: it collects the
   * full base table, with the kept tables joined in for the final estimate.
-  * No Spark ML model is fitted here: AutoML-lite, the one Spark ML user,
-  * assembles its own feature vectors.
+  * AutoML-lite fits its other learners on a [[LocalForest.split]] of its
+  * own collected matrix and scores them with [[score]] too.
   */
 object Estimator {
 
@@ -28,12 +28,7 @@ object Estimator {
   val FinalTrees = 60
   val FinalDepth = 8
 
-  /** Split bins per column: the [[LocalForest]] cuts each column of a
-    * matrix at this many quantile bins once per matrix, and AutoML-lite's
-    * Spark ML trees use as many (their split stats scale as nodes ×
-    * features × bins, so 8 keeps wide-frame fits from shipping
-    * tens-of-MB task binaries).
-    */
+  /** Split bins per column: the [[LocalForest]] cuts each column of a matrix at this many quantile bins. */
   val Bins = 8
 
   /** Higher-is-better score of `predicted` against `actual`, on the

@@ -8,11 +8,11 @@ import repro.ml.MatrixOps.LocalData
 
 /** A driver-side Random Forest over a collected matrix: the learner of
   * every ARDA fit, in the selection loop (holdout fits, RF rankings, RIFS)
-  * over the coreset matrix, and for the baseline and the final estimate
-  * over the full base table.
+  * over the coreset matrix, for the baseline and the final estimate over
+  * the full base table, and of AutoML-lite's forests and boosted trees.
   *
-  * It has the shape of the Spark ML forest that [[repro.automl.AutoMLLite.forest]]
-  * builds: Poisson(1) bootstrap weights per tree, a fresh random feature
+  * It has the shape of Spark ML's Random Forest, its tests' reference:
+  * Poisson(1) bootstrap weights per tree, a fresh random feature
   * subset at every node (√d for classification, d/3 for regression), Gini
   * or variance impurity, splits at [[Estimator.Bins]]-bin quantile
   * thresholds chosen the way Spark ML chooses them, and impurity
@@ -127,12 +127,17 @@ object LocalForest {
     * columns `features`. Classification labels must be 0, 1, …, K − 1.
     */
   def fit(data: LocalData, features: Seq[String], rows: Array[Int], task: TaskKind,
-          trees: Int, depth: Int, seed: Long): Model = {
+          trees: Int, depth: Int, seed: Long): Model =
+    fit(data, data.y.toArray, features, rows, task, trees, depth, seed)
+
+  /** As above, on labels `y` in place of `data.y`, with the same bins. */
+  def fit(data: LocalData, y: Array[Double], features: Seq[String], rows: Array[Int],
+          task: TaskKind, trees: Int, depth: Int, seed: Long): Model = {
     val cols = features.map(data.indexOf).toArray
     val binned = cols.map(data.binned)
     val d = cols.length
     val nClasses = task match {
-      case TaskKind.Classification => math.max(2, data.y.toArray.max.toInt + 1)
+      case TaskKind.Classification => math.max(2, y.max.toInt + 1)
       case TaskKind.Regression     => 1
     }
     val perNode = task match {
@@ -140,13 +145,13 @@ object LocalForest {
       case TaskKind.Classification => math.ceil(math.sqrt(d.toDouble)).toInt
       case TaskKind.Regression     => math.ceil(d / 3.0).toInt
     }
-    val grower = new Grower(binned, data.y.toArray, task, nClasses, depth, perNode)
+    val grower = new Grower(binned, y, task, nClasses, depth, perNode)
     val rnd = new Random(seed)
     val total = new Array[Double](d)
     val fitted = Array.fill(trees) {
       val weights = rows.map(_ => if (trees == 1) 1.0 else poisson(rnd).toDouble)
       val bag = rows.indices.filter(weights(_) > 0).toArray
-      val w = new Array[Double](data.y.length)
+      val w = new Array[Double](y.length)
       bag.foreach(k => w(rows(k)) = weights(k))
       val tree = grower.grow(bag.map(rows), w, rnd)
       val norm = grower.importance.sum

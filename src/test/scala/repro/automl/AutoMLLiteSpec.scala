@@ -6,15 +6,6 @@ import repro.core.TaskKind
 
 class AutoMLLiteSpec extends SparkSpec {
 
-  test("split is deterministic and roughly 70/30") {
-    val df = spark.range(600).select((col("id") % 2).cast("double").as("y"), randn(2).as("f")).cache()
-    val (tr, _) = AutoMLLite.split(df, 7L)
-    val (tr2, _) = AutoMLLite.split(df, 7L)
-    assert(tr.count() == tr2.count())
-    val frac = tr.count().toDouble / df.count()
-    assert(frac > 0.6 && frac < 0.8)
-  }
-
   test("classification search beats chance with a separating feature") {
     val df = spark.range(500).select(
       (col("id") % 2).cast("double").as("y"),

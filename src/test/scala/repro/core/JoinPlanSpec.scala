@@ -43,6 +43,18 @@ class JoinPlanSpec extends SparkSpec {
       "b" -> base, "f" -> f)
   }
 
+  test("intersection score runs one Spark job") {
+    val base = spark.range(0, 400, 1, 4).select((col("id") % 50).as("k"), col("id").as("v")).cache()
+    val f = spark.range(0, 300, 1, 3).select((col("id") % 70 + 30).as("fk")).cache()
+    base.count(); f.count()
+    // Without adaptive execution, which submits each shuffle stage as its own job.
+    val jobs = withConf("spark.sql.adaptive.enabled" -> "false") {
+      jobsIn("intersection")(assert(JoinPlan.intersectionScore(base, cand("t", f)) == 0.4))
+    }
+    assert(jobs == 1)
+    base.unpersist(); f.unpersist()
+  }
+
   test("pure soft-key candidates score 1.0") {
     val base = Seq(1.0, 2.0).toDF("t")
     val f = Seq(5.0).toDF("ft")

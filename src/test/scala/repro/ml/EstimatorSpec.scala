@@ -60,7 +60,8 @@ class EstimatorSpec extends SparkSpec {
     val feats = Seq("sig", "noise")
     val scorers = Seq[DataFrame => Double](
       Estimator.holdoutScore(_, feats, "y", TaskKind.Regression),
-      Estimator.autoScore(_, feats, "y", TaskKind.Regression))
+      Estimator.autoScore(_, feats, "y", TaskKind.Regression),
+      AutoMLLite.search(_, feats, "y", TaskKind.Regression, budgetSeconds = 0))
     // Each scorer's first call runs over a cache that is not filled yet.
     val calls = scorers.map { score =>
       d.unpersist(blocking = true)
@@ -84,11 +85,10 @@ class EstimatorSpec extends SparkSpec {
     assert(jobsIn("autoScore-reg")(Estimator.autoScore(reg, feats, "y", TaskKind.Regression)) == 1)
   }
 
-  // Fixtures for pinned outputs: an explicit partition count, so the
-  // values do not depend on the core count, and a materialized cache,
-  // because AutoML-lite's Spark ML fits see another row order on a first
-  // pass over an unfilled cache. Every other fit here collects its rows
-  // in canonical order and would not need the filled cache.
+  // Fixtures for pinned outputs: an explicit partition count, because
+  // `randn` draws per partition, so the generated rows depend on it. Every
+  // fit collects its rows in canonical order, so neither the partitioning
+  // of the same rows nor a filled cache changes the values.
   private lazy val pinCls = {
     val d = spark.range(0, 400, 1, 4).select(
       (col("id") % 2).cast("double").as("y"),
@@ -122,8 +122,8 @@ class EstimatorSpec extends SparkSpec {
       "auto reg"    -> Seq(-0.5922630348513198),
       "rf rank cls" -> Seq(0.786559403767638, 0.21344059623236192),
       "rf rank reg" -> Seq(0.9728341361021258, 0.027165863897874162),
-      "automl cls"  -> Seq(0.7863247863247863),
-      "automl reg"  -> Seq(-0.5980625030176308))
+      "automl cls"  -> Seq(0.6992481203007519),
+      "automl reg"  -> Seq(-0.5991460404166128))
     assert(got == pinned)
   }
 

@@ -1,12 +1,53 @@
 package repro.ml
 
-import org.apache.spark.ml.classification.RandomForestClassificationModel
-import org.apache.spark.ml.regression.RandomForestRegressionModel
+import org.apache.spark.ml.{Model, Estimator => Learner}
+import org.apache.spark.ml.classification.{RandomForestClassificationModel, RandomForestClassifier}
+import org.apache.spark.ml.feature.VectorAssembler
+import org.apache.spark.ml.regression.{RandomForestRegressionModel, RandomForestRegressor}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.automl.AutoMLLite
 import repro.core.TaskKind
+
+/** Spark ML's Random Forest, the reference [[LocalForest]] is compared
+  * against, fitted on Spark's own seeded 70/30 split of a frame.
+  */
+private object SparkForest {
+  private val FeaturesCol = "__fv"
+  private val PredictionCol = "__p"
+
+  /** Nulls filled with 0 and `features` assembled into [[FeaturesCol]],
+    * in at most 4 partitions.
+    */
+  def assemble(df: DataFrame, features: Seq[String]): DataFrame =
+    new VectorAssembler().setInputCols(features.toArray).setOutputCol(FeaturesCol)
+      .transform(df.na.fill(0.0, features)).coalesce(4)
+
+  /** A 70/30 split on a seeded rand column, which Spark seeds per partition. */
+  def split(df: DataFrame, seed: Long): (DataFrame, DataFrame) = {
+    val tagged = df.withColumn("__u", rand(seed))
+    (tagged.filter(col("__u") < 0.7).drop("__u"), tagged.filter(col("__u") >= 0.7).drop("__u"))
+  }
+
+  /** The task's forest over [[FeaturesCol]], predicting `target` into [[PredictionCol]]. */
+  def forest(task: TaskKind, target: String, trees: Int, depth: Int,
+             seed: Long): Learner[_ <: Model[_]] = task match {
+    case TaskKind.Classification =>
+      new RandomForestClassifier()
+        .setFeaturesCol(FeaturesCol).setLabelCol(target).setPredictionCol(PredictionCol)
+        .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Estimator.Bins).setSeed(seed)
+    case TaskKind.Regression =>
+      new RandomForestRegressor()
+        .setFeaturesCol(FeaturesCol).setLabelCol(target).setPredictionCol(PredictionCol)
+        .setNumTrees(trees).setMaxDepth(depth).setMaxBins(Estimator.Bins).setSeed(seed)
+  }
+
+  /** [[Estimator.score]] of `model` on the assembled frame `test`. */
+  def score(task: TaskKind, model: Model[_], test: DataFrame, target: String): Double = {
+    val rows = model.transform(test).select(col(PredictionCol), col(target).cast("double")).collect()
+    Estimator.score(task, rows.map(_.getDouble(0)), rows.map(_.getDouble(1)))
+  }
+}
 
 class LocalForestSpec extends SparkSpec {
   import Estimator.{FastDepth, FastTrees, FinalDepth, FinalTrees}
@@ -38,10 +79,10 @@ class LocalForestSpec extends SparkSpec {
     */
   private def bothForests(df: DataFrame, task: TaskKind, trees: Int, depth: Int,
                           seed: Long): (Double, Double, Array[Double], Array[Double]) = {
-    val (tr, te) = AutoMLLite.split(df, seed)
-    val sparkModel = AutoMLLite.forest(task, "y", trees, depth, seed)
-      .fit(AutoMLLite.assemble(tr, feats))
-    val sparkScore = AutoMLLite.score(task, sparkModel, AutoMLLite.assemble(te, feats), "y")
+    val (tr, te) = SparkForest.split(df, seed)
+    val sparkModel = SparkForest.forest(task, "y", trees, depth, seed)
+      .fit(SparkForest.assemble(tr, feats))
+    val sparkScore = SparkForest.score(task, sparkModel, SparkForest.assemble(te, feats), "y")
     val sparkImp = sparkModel match {
       case m: RandomForestClassificationModel => m.featureImportances.toArray
       case m: RandomForestRegressionModel     => m.featureImportances.toArray
