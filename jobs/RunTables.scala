@@ -7,7 +7,7 @@ import repro.exp._
 /** The one SparkSession builder, shared by the table jobs and the tests. */
 object JobSession {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       // Tiny local frames: few shuffle partitions keep per-query overhead low.

@@ -61,8 +61,8 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
   lazy val baselineScore: Double =
     Estimator.autoScore(baseFull, baseFeats, taskDef.target, taskDef.task, cfg.seed)
 
-  /** Coreset of the prepared base table (pre-join sampling strategies;
-    * Sketch is applied post-join by the coreset experiments, not here).
+  /** Coreset of the prepared base table: the sampled rows, or every row
+    * under Sketch, whose count-sketch is taken after each batch join.
     */
   lazy val coreset: DataFrame =
     cache(Coreset.build(baseFull, taskDef.target, taskDef.task, cfg))
@@ -138,10 +138,7 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
       val feats = (baseFeats ++ kept ++ newFeats).distinct
       // Sketch coresets apply *after* the join (§3.1): selection sees the
       // count-sketched rows, while batch assembly keeps the real rows.
-      val selInput =
-        if (cfg.coresetStrategy == CoresetStrategy.Sketch)
-          Coreset.sketch(selDf, feats, taskDef.target, taskDef.task, cfg.coresetSize, cfg.seed)
-        else selDf
+      val selInput = Coreset.selectionInput(selDf, feats, taskDef.target, taskDef.task, cfg)
       val f0 = System.nanoTime()
       val sel = selector.select(selInput, feats, taskDef.target, taskDef.task, cfg.seed)
       fsNanos += System.nanoTime() - f0

@@ -17,7 +17,7 @@ object Coreset {
     * samplers keep rows, so a sample does not depend on partitioning.
     */
   private def rowHash(df: DataFrame, seed: Long): Column =
-    xxhash64(df.columns.map(col) :+ lit(seed): _*)
+    xxhash64(df.columns.toSeq.map(col) :+ lit(seed): _*)
 
   /** Uniform sample: the min(n, `size`) rows with the smallest row hash. */
   def uniform(df: DataFrame, size: Int, seed: Long): DataFrame =
@@ -38,16 +38,28 @@ object Coreset {
       .drop("__h", "__r", "__nl")
   }
 
-  /** Dispatch for pre-join strategies; Sketch falls back to uniform here
-    * because sketching is applied post-join (§3.1).
+  /** The rows that are joined before selection: a uniform or (for
+    * classification) stratified sample, or for Sketch every row, since a
+    * sketch mixes row values and is taken after the join ([[selectionInput]]).
     */
   def build(df: DataFrame, target: String, task: TaskKind, cfg: ArdaConfig): DataFrame =
     cfg.coresetStrategy match {
       case CoresetStrategy.Stratified if task == TaskKind.Classification =>
         stratified(df, target, cfg.coresetSize, cfg.seed)
+      case CoresetStrategy.Sketch => df
       case _ =>
         uniform(df, cfg.coresetSize, cfg.seed)
     }
+
+  /** What a selector sees of a joined [[build]] output: for Sketch its
+    * `coresetSize`-row count-sketch, S·A over the joined table (§3.1);
+    * otherwise the sampled rows themselves.
+    */
+  def selectionInput(df: DataFrame, features: Seq[String], target: String, task: TaskKind,
+                     cfg: ArdaConfig): DataFrame =
+    if (cfg.coresetStrategy == CoresetStrategy.Sketch)
+      sketch(df, features, target, task, cfg.coresetSize, cfg.seed)
+    else df
 
   /** OSNAP / count-sketch of rows (Definitions 1–2): seeded row hashes give every
     * row one of `rows` buckets and a ±1 sign (at any partitioning); bucket sums are

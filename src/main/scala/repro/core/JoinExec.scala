@@ -21,11 +21,12 @@ import org.apache.spark.sql.types._
   *      methods, to the nearest foreign value (optionally interpolating
   *      between the two bracketing rows).
   *
-  * Nearest-neighbour joins are expressed as a union + window ("as-of join"): base and
-  * foreign rows are interleaved, sorted by the soft key (partitioned by
-  * any hard key components of a composite key), and `last/first(...,
-  * ignoreNulls)` recover the bracketing foreign payloads for every base
-  * row in one pass — no cross join.
+  * Nearest-neighbour joins are expressed as a union + window ("as-of join"):
+  * base rows and foreign rows, each side carried as one struct, are
+  * interleaved and sorted by the soft key (partitioned by any hard key
+  * components of a composite key). One `last(foreign struct, ignoreNulls)`
+  * per direction recovers the whole bracketing foreign row, key and
+  * payload together, for every base row in one pass — no cross join.
   */
 object JoinExec {
 
@@ -57,7 +58,7 @@ object JoinExec {
     * foreign table, after any time-key truncation.
     */
   def aggregateByKeys(df: DataFrame, keyCols: Seq[String]): DataFrame = {
-    val payload = df.columns.filterNot(keyCols.contains)
+    val payload = df.columns.toSeq.filterNot(keyCols.contains)
     val numeric = df.schema.fields.collect { case StructField(n, _: NumericType, _, _) => n }.toSet
     val aggs = payload.map { c =>
       if (numeric(c)) avg(col(c)).as(c) else min(col(c)).as(c)
@@ -80,11 +81,9 @@ object JoinExec {
     val keyCols = keys.map(_.foreignCol)
 
     // Rename payload columns up front so nothing collides with `left`.
-    val payloadCols = cand.table.columns.filterNot(keyCols.contains).toSeq
-    val renamed = payloadCols.foldLeft(cand.table) { (d, c) =>
-      d.withColumnRenamed(c, prefixed(cand.name, c))
-    }
+    val payloadCols = cand.table.columns.toSeq.filterNot(keyCols.contains)
     val payload = payloadCols.map(prefixed(cand.name, _))
+    val renamed = cand.table.withColumnsRenamed(payloadCols.zip(payload).toMap)
 
     val aligned = softKeys.headOption match {
       case Some(soft) if method != SoftJoinMethod.HardUnmodified => truncateToBase(left, renamed, soft)
@@ -101,7 +100,7 @@ object JoinExec {
       case _ =>
         val cond = keys.map(k => left(k.baseCol) === foreign(k.foreignCol)).reduce(_ && _)
         left.join(foreign, cond, "left")
-          .select(left.columns.map(left(_)) ++ payload.map(foreign(_)): _*)
+          .select(left.columns.toSeq.map(left(_)) ++ payload.map(foreign(_)): _*)
     }
   }
 
@@ -129,83 +128,57 @@ object JoinExec {
                        payload: Seq[String], twoWay: Boolean,
                        tolerance: Option[Double], seed: Long): DataFrame = {
     val numeric = foreign.schema.fields.collect { case StructField(n, _: NumericType, _, _) => n }.toSet
-
     val leftCols = left.columns.toSeq
-    // Shared schema: marker, hard keys, soft key (double), left payloads, foreign payloads.
-    val bSide = left
-      .withColumn("__isbase", lit(1))
-      .withColumn("__k", col(soft.baseCol).cast(DoubleType))
-    val bAligned = payload.foldLeft(bSide)((d, c) => d.withColumn(c, lit(null).cast(foreign.schema(c).dataType)))
 
-    val fSide0 = foreign
-      .withColumn("__isbase", lit(0))
-      .withColumn("__k", col(soft.foreignCol).cast(DoubleType))
-    // Rename foreign hard-key cols to the base names so the union lines up.
-    val fSide1 = hardKeys.foldLeft(fSide0)((d, k) =>
-      if (k.foreignCol == k.baseCol) d else d.withColumnRenamed(k.foreignCol, k.baseCol))
-    val fAligned = leftCols.filterNot(c => hardKeys.exists(_.baseCol == c)).foldLeft(fSide1) {
-      (d, c) => d.withColumn(c, lit(null).cast(left.schema(c).dataType))
-    }
+    // Each side of the union: the hard keys under their base names, the
+    // soft key as a double, a base marker, and one struct — the base row
+    // (`__b`) or the foreign key and payload (`__f`).
+    val bSide = left.select(hardKeys.map(k => col(k.baseCol)) ++ Seq(
+      col(soft.baseCol).cast(DoubleType).as("__k"), lit(1).as("__isbase"),
+      struct(leftCols.map(col): _*).as("__b")): _*)
+    val fk = col(soft.foreignCol).cast(DoubleType)
+    val fSide = foreign.select(hardKeys.map(k => col(k.foreignCol).as(k.baseCol)) ++ Seq(
+      fk.as("__k"), lit(0).as("__isbase"),
+      struct(fk.as("k") +: payload.map(col): _*).as("__f")): _*)
 
-    val unionCols = (Seq("__isbase", "__k") ++ hardKeys.map(_.baseCol) ++
-      leftCols.filterNot(c => hardKeys.exists(_.baseCol == c)) ++ payload).distinct
-    val u = bAligned.select(unionCols.map(col): _*)
-      .unionByName(fAligned.select(unionCols.map(col): _*))
-
-    val part = hardKeys.map(k => col(k.baseCol))
     // Foreign rows sort before base rows at equal keys, so an exact match
-    // is visible as the "previous" row with distance 0.
-    val ord  = Seq(col("__k").asc, col("__isbase").asc)
-    val wPrev = (if (part.nonEmpty) Window.partitionBy(part: _*) else Window.partitionBy())
-      .orderBy(ord: _*).rowsBetween(Window.unboundedPreceding, Window.currentRow)
-    val wNext = (if (part.nonEmpty) Window.partitionBy(part: _*) else Window.partitionBy())
-      .orderBy(col("__k").desc, col("__isbase").asc)
+    // is the previous row at distance 0. Both frames end at the current
+    // row: a frame to UNBOUNDED FOLLOWING is recomputed for every row.
+    def upTo(order: Column) = Window.partitionBy(hardKeys.map(k => col(k.baseCol)): _*)
+      .orderBy(order, col("__isbase").asc)
       .rowsBetween(Window.unboundedPreceding, Window.currentRow)
+    val joined = bSide.unionByName(fSide, allowMissingColumns = true)
+      .withColumn("__prev", last(col("__f"), ignoreNulls = true).over(upTo(col("__k").asc)))
+      .withColumn("__next", last(col("__f"), ignoreNulls = true).over(upTo(col("__k").desc)))
+      .filter(col("__isbase") === 1)
 
-    def fOnly(c: Column): Column = when(col("__isbase") === 0, c)
-
-    var d = u
-      .withColumn("__kprev", last(fOnly(col("__k")), ignoreNulls = true).over(wPrev))
-      .withColumn("__knext", last(fOnly(col("__k")), ignoreNulls = true).over(wNext))
-    for (p <- payload) {
-      d = d.withColumn(s"__prev_$p", last(fOnly(col(p)), ignoreNulls = true).over(wPrev))
-           .withColumn(s"__next_$p", last(fOnly(col(p)), ignoreNulls = true).over(wNext))
-    }
-    d = d.filter(col("__isbase") === 1)
-
-    val x     = col("__k")
-    val dPrev = when(col("__kprev").isNotNull, abs(x - col("__kprev")))
-    val dNext = when(col("__knext").isNotNull, abs(x - col("__knext")))
+    val (x, kPrev, kNext) = (col("__k"), col("__prev.k"), col("__next.k"))
+    val (hasPrev, hasNext) = (kPrev.isNotNull, kNext.isNotNull)
+    val (dPrev, dNext) = (abs(x - kPrev), abs(x - kNext))
     val withinTol: Column => Column = dist =>
       tolerance.map(t => dist <= lit(t)).getOrElse(lit(true))
-    val hashPicksPrev = pmod(xxhash64(leftCols.map(col) :+ lit(seed): _*), lit(2L)) === 0
+    val hashPicksPrev =
+      pmod(xxhash64(leftCols.map(col("__b").getField) :+ lit(seed): _*), lit(2L)) === 0
 
-    val out = payload.foldLeft(d) { (dd, p) =>
-      val prevV = col(s"__prev_$p"); val nextV = col(s"__next_$p")
-      val value: Column =
-        if (!twoWay) {
-          // NN: closest of the bracketing rows, nulls beyond tolerance.
-          val pickPrev = col("__knext").isNull ||
-            (col("__kprev").isNotNull && dPrev <= dNext)
-          when(pickPrev && col("__kprev").isNotNull && withinTol(dPrev), prevV)
-            .when(!pickPrev && col("__knext").isNotNull && withinTol(dNext), nextV)
-        } else {
-          val lam = when(col("__knext") === col("__kprev"), lit(1.0))
-            .otherwise((col("__knext") - x) / (col("__knext") - col("__kprev")))
-          val both = col("__kprev").isNotNull && col("__knext").isNotNull
-          if (numeric(p)) {
-            when(both, lam * prevV + (lit(1.0) - lam) * nextV)
-              .when(col("__kprev").isNotNull && withinTol(dPrev), prevV)
-              .when(col("__knext").isNotNull && withinTol(dNext), nextV)
-          } else {
-            // Categorical: uniform pick between the bracketing rows (§4).
-            when(both, when(hashPicksPrev, prevV).otherwise(nextV))
-              .when(col("__kprev").isNotNull && withinTol(dPrev), prevV)
-              .when(col("__knext").isNotNull && withinTol(dNext), nextV)
-          }
-        }
-      dd.withColumn(p, value)
+    def value(p: String): Column = {
+      val (prevV, nextV) = (col("__prev").getField(p), col("__next").getField(p))
+      if (!twoWay) {
+        // NN: closest of the bracketing rows, nulls beyond tolerance.
+        val pickPrev = !hasNext || (hasPrev && dPrev <= dNext)
+        when(pickPrev && hasPrev && withinTol(dPrev), prevV)
+          .when(!pickPrev && hasNext && withinTol(dNext), nextV)
+      } else {
+        val lam = when(kNext === kPrev, lit(1.0)).otherwise((kNext - x) / (kNext - kPrev))
+        // Categorical: uniform pick between the bracketing rows (§4).
+        val between =
+          if (numeric(p)) lam * prevV + (lit(1.0) - lam) * nextV
+          else when(hashPicksPrev, prevV).otherwise(nextV)
+        when(hasPrev && hasNext, between)
+          .when(hasPrev && withinTol(dPrev), prevV)
+          .when(hasNext && withinTol(dNext), nextV)
+      }
     }
-    out.select((leftCols ++ payload).map(col): _*)
+    joined.select(leftCols.map(c => col("__b").getField(c).as(c)) ++
+                  payload.map(p => value(p).as(p)): _*)
   }
 }

@@ -66,7 +66,7 @@ object Preprocess {
         d.withColumn(c, coalesce(col(c).cast(DoubleType), lit(m)))
       }
       val imputed = draws.foldLeft(numeric) { case (d, (c, values)) =>
-        val rowHash = xxhash64(d.columns.map(col) :+ lit(seed + c.hashCode): _*)
+        val rowHash = xxhash64(d.columns.toSeq.map(col) :+ lit(seed + c.hashCode): _*)
         d.withColumn(c, coalesce(col(c),
           if (values.isEmpty) lit("∅")
           else element_at(array(values.map(lit): _*),

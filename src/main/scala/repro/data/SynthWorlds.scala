@@ -161,7 +161,6 @@ object SynthWorlds {
     val nHours = nDays * 24
     val rnd = new Random(seed)
     val hourIdx = floor(col("ts") / Hour)
-    val dayIdx = floor(col("ts") / Day)
     val sigsFine = Seq.tabulate(2)(i => (0.5 + 2.0 * rnd.nextDouble(), rnd.nextDouble() * 6, 0.8))
     val sigDay = (0.5 + 2.0 * rnd.nextDouble(), rnd.nextDouble() * 6, 0.5)
     val base = spark.range(nHours)

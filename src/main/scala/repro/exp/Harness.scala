@@ -75,12 +75,9 @@ object Harness {
                strategy: CoresetStrategy, coresetRows: Int,
                seed: Long): (Double, Double, Int) = {
     val full = m.df.cache(); full.count()
-    val core = strategy match {
-      case CoresetStrategy.Uniform    => Coreset.uniform(full, coresetRows, seed)
-      case CoresetStrategy.Stratified => Coreset.stratified(full, m.target, coresetRows, seed)
-      case CoresetStrategy.Sketch     =>
-        Coreset.sketch(full, m.features, m.target, m.task, coresetRows, seed)
-    }
+    val cfg = ArdaConfig(coresetStrategy = strategy, coresetSize = coresetRows, seed = seed)
+    val core = Coreset.selectionInput(Coreset.build(full, m.target, m.task, cfg),
+                                      m.features, m.target, m.task, cfg)
     val cached = core.cache(); cached.count()
     val t0 = System.nanoTime()
     val sel = selector.select(cached, m.features, m.target, m.task, seed)

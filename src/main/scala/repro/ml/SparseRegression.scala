@@ -20,12 +20,6 @@ import repro.core.TaskKind
   * Each iteration provably decreases the (convex) objective; we stop on
   * relative improvement < tol. The feature ranking is the row-norm vector
   * ‖W_j‖₂.
-  *
-  * `robustLabels` implements the paper's modified objective for corrupted
-  * labels (from Qian & Zhai [56]): the labels become variables anchored at
-  * the observations — after each W update, Y is relaxed toward the current
-  * fit, Y ← (1−β)·Y₀ + β·XW, which fits a consistent labelling that
-  * lowers the ℓ2,1 loss.
   */
 object SparseRegression {
 
@@ -46,13 +40,11 @@ object SparseRegression {
       m
   }
 
-  def solve(x: DenseMatrix[Double], yMat: DenseMatrix[Double],
-            gamma: Double = 0.1, maxIter: Int = 15, tol: Double = 1e-4,
-            robustLabels: Boolean = false, beta: Double = 0.3): Result = {
+  def solve(x: DenseMatrix[Double], y: DenseMatrix[Double],
+            gamma: Double = 0.1, maxIter: Int = 15, tol: Double = 1e-4): Result = {
     val n = x.rows; val d = x.cols
     val eps = 1e-8
-    var y = yMat.copy
-    var w = DenseMatrix.zeros[Double](d, yMat.cols)
+    var w = DenseMatrix.zeros[Double](d, y.cols)
     var prevObj = Double.MaxValue
     var it = 0
     var done = false
@@ -73,7 +65,6 @@ object SparseRegression {
       val a  = xe * x + diag(dDiag) * gamma
       val b  = xe * y
       w = a \ b
-      if (robustLabels) y = yMat * (1.0 - beta) + (x * w) * beta
       val obj = l21(x * w - y) + gamma * l21(w)
       if (math.abs(prevObj - obj) <= tol * math.max(1.0, math.abs(prevObj))) done = true
       prevObj = obj

@@ -78,6 +78,31 @@ class ArdaSpec extends SparkSpec {
     assert(r.augmentedScore > Double.MinValue)
   }
 
+  test("sketch coreset joins every base row and selects on the joined table's sketch") {
+    val skCfg = cfg.copy(coresetStrategy = CoresetStrategy.Sketch)
+    var seen = Vector.empty[DataFrame]
+    val recorder = new FeatureSelector {
+      val name = "recorder"
+      def select(df: DataFrame, features: Seq[String], target: String,
+                 task: TaskKind, seed: Long): Seq[String] = { seen :+= df; Nil }
+    }
+    def rows(df: DataFrame): Seq[String] =
+      df.collect().toSeq.map(_.toSeq.map {
+        case d: Double => f"$d%.6f"
+        case x         => String.valueOf(x)
+      }.mkString(",")).sorted
+    val p = new ArdaPipeline(miniWorld.task, skCfg)
+    try {
+      val (_, frame, newFeats) = p.batchFrames.head
+      assert(newFeats.nonEmpty)
+      assert(frame.count() == p.baseFull.count())
+      p.runSelector(recorder)
+      val sketched = Coreset.sketch(frame, (p.baseFeats ++ newFeats).distinct, p.taskDef.target,
+                                    p.taskDef.task, skCfg.coresetSize, skCfg.seed)
+      assert(rows(seen.head) == rows(sketched))
+    } finally p.close()
+  }
+
   test("fs time is measured and batches counted") {
     val r = Arda.run(miniWorld.task, cfg, new FeatureSelectors.Ranked(Rankers.FTestRanker))
     assert(r.fsSeconds > 0)

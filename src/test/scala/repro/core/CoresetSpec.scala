@@ -4,7 +4,6 @@ import org.apache.spark.sql.functions._
 import repro.SparkSpec
 
 class CoresetSpec extends SparkSpec {
-  import spark.implicits._
 
   private def labelled(n: Int) =
     spark.range(n).select(col("id"),
@@ -22,8 +21,8 @@ class CoresetSpec extends SparkSpec {
   }
 
   test("uniform sampling is deterministic in the seed") {
-    val a = Coreset.uniform(labelled(5000), 500, 7L).agg(sum("id")).head.getLong(0)
-    val b = Coreset.uniform(labelled(5000), 500, 7L).agg(sum("id")).head.getLong(0)
+    val a = Coreset.uniform(labelled(5000), 500, 7L).agg(sum("id")).head().getLong(0)
+    val b = Coreset.uniform(labelled(5000), 500, 7L).agg(sum("id")).head().getLong(0)
     assert(a == b)
   }
 
@@ -108,7 +107,7 @@ class CoresetSpec extends SparkSpec {
     // signed row count.
     val df = spark.range(100).select(lit(0.0).as("y"), lit(1.0).as("f"))
     val out = Coreset.sketch(df, Seq("f"), "y", TaskKind.Regression, 1, 5L)
-    val v = out.select("f").head.getDouble(0)
+    val v = out.select("f").head().getDouble(0)
     assert(v == math.rint(v))
     assert(math.abs(v) <= 100)
   }
@@ -116,9 +115,9 @@ class CoresetSpec extends SparkSpec {
   test("sketch approximately preserves column norms (subspace embedding)") {
     // ‖S·a‖² concentrates around ‖a‖² for a count-sketch S.
     val df = spark.range(4000).select(lit(0.0).as("y"), randn(11).as("f"))
-    val trueNorm = df.agg(sum(col("f") * col("f"))).head.getDouble(0)
+    val trueNorm = df.agg(sum(col("f") * col("f"))).head().getDouble(0)
     val sk = Coreset.sketch(df, Seq("f"), "y", TaskKind.Regression, 256, 5L)
-    val skNorm = sk.agg(sum(col("f") * col("f"))).head.getDouble(0)
+    val skNorm = sk.agg(sum(col("f") * col("f"))).head().getDouble(0)
     assert(math.abs(skNorm - trueNorm) / trueNorm < 0.5,
            s"sketch norm $skNorm vs $trueNorm")
   }

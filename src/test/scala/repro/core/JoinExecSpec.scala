@@ -106,7 +106,7 @@ class JoinExecSpec extends SparkSpec {
     val f = Seq((19.0, 1.0), (20.0, 2.0), (21.0, 3.0)).toDF("ft", "v")
     val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.NearestNeighbour)
-    assert(out.head.getDouble(2) == 2.0)
+    assert(out.head().getDouble(2) == 2.0)
   }
 
   test("soft NN join respects the tolerance threshold") {
@@ -125,7 +125,7 @@ class JoinExecSpec extends SparkSpec {
     val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.TwoWayNearestNeighbour)
     // x=15 ⇒ λ = (20−15)/(20−10) = 0.5 ⇒ 0.5·100 + 0.5·200 = 150
-    assert(math.abs(out.head.getDouble(2) - 150.0) < 1e-9)
+    assert(math.abs(out.head().getDouble(2) - 150.0) < 1e-9)
   }
 
   test("two-way NN join weights the nearer bracketing row more") {
@@ -134,7 +134,7 @@ class JoinExecSpec extends SparkSpec {
     val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.TwoWayNearestNeighbour)
     // λ = (20−12)/10 = 0.8 ⇒ 0.8·100 + 0.2·200 = 120
-    assert(math.abs(out.head.getDouble(2) - 120.0) < 1e-9)
+    assert(math.abs(out.head().getDouble(2) - 120.0) < 1e-9)
   }
 
   test("two-way NN join falls back to the single available side") {
@@ -152,7 +152,7 @@ class JoinExecSpec extends SparkSpec {
     val f = Seq((10.0, "lo"), (20.0, "hi")).toDF("ft", "v")
     val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
                             SoftJoinMethod.TwoWayNearestNeighbour)
-    assert(Set("lo", "hi").contains(out.head.getString(2)))
+    assert(Set("lo", "hi").contains(out.head().getString(2)))
   }
 
   test("time resampling aggregates a finer foreign table to base granularity") {
@@ -173,7 +173,7 @@ class JoinExecSpec extends SparkSpec {
     val f = Seq((day * 10 + 3600, 3.0)).toDF("ts", "v")
     val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
                             SoftJoinMethod.HardUnmodified)
-    assert(out.head.isNullAt(2))
+    assert(out.head().isNullAt(2))
   }
 
   test("NN soft join also resamples finer foreign tables first") {
@@ -182,13 +182,16 @@ class JoinExecSpec extends SparkSpec {
     val f = Seq((day * 10, 1.0), (day * 10 + 3600, 3.0)).toDF("ts", "v")
     val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
                             SoftJoinMethod.NearestNeighbour)
-    assert(out.head.getDouble(2) == 2.0) // aggregated day value, not one hour's
+    assert(out.head().getDouble(2) == 2.0) // aggregated day value, not one hour's
   }
 
   // DuckDB oracles for the soft joins. Each foreign fixture repeats one key
   // (pre-aggregated to its mean), one base key matches a foreign key
   // exactly, and base keys fall before the first and after the last
-  // foreign key. Payloads are numeric: categorical two-way picks are random.
+  // foreign key. A foreign row with a NULL payload sits at a base key and
+  // just below the next one: a base row bracketed by it gets its NULL, not
+  // an older row's value. Payloads are numeric: categorical two-way picks
+  // are random.
   private val Day = 86400.0
 
   /** Both bracketing foreign rows of every base row: the nearest at or
@@ -222,7 +225,8 @@ class JoinExecSpec extends SparkSpec {
   test("NN join with a tolerance matches DuckDB as-of joins") {
     val base = Seq(3.0, 7.0, 20.0, 24.0, 25.0, 26.0, 35.0, 40.0).zipWithIndex
       .map { case (t, i) => (i.toLong, t) }.toDF("id", "t")
-    val f = Seq((10.0, 1.0), (20.0, 2.0), (20.0, 4.0), (30.0, 5.0)).toDF("ft", "v")
+    val f = Seq((10.0, Some(1.0)), (20.0, Some(2.0)), (20.0, Some(4.0)), (25.0, None),
+                (30.0, Some(5.0))).toDF("ft", "v")
     // The nearer bracketing row wins, the lower one on a tie; null beyond 5.
     Oracle.assertEquivalent(softJoined(base, f, SoftJoinMethod.NearestNeighbour, Some(5.0)),
       Bracketed + "SELECT id, CASE " +
@@ -233,12 +237,46 @@ class JoinExecSpec extends SparkSpec {
   }
 
   test("two-way NN join matches DuckDB as-of joins with interpolation") {
-    val base = Seq(5.0, 10.0, 15.0, 20.0, 27.0, 35.0).zipWithIndex
+    val base = Seq(5.0, 10.0, 15.0, 20.0, 25.0, 27.0, 35.0).zipWithIndex
       .map { case (t, i) => (i.toLong, t) }.toDF("id", "t")
-    val f = Seq((10.0, 100.0), (20.0, 200.0), (20.0, 400.0), (30.0, 600.0)).toDF("ft", "v")
+    val f = Seq((10.0, Some(100.0)), (20.0, Some(200.0)), (20.0, Some(400.0)), (25.0, None),
+                (30.0, Some(600.0))).toDF("ft", "v")
     // λ·v_lo + (1−λ)·v_hi with λ = (k_hi − t)/(k_hi − k_lo); one side alone otherwise.
     Oracle.assertEquivalent(softJoined(base, f, SoftJoinMethod.TwoWayNearestNeighbour),
       Bracketed + "SELECT id, CASE " +
+        "WHEN klo IS NOT NULL AND khi IS NOT NULL THEN CASE WHEN khi = klo THEN vlo " +
+        "ELSE (khi - t) / (khi - klo) * vlo + (1 - (khi - t) / (khi - klo)) * vhi END " +
+        "WHEN klo IS NOT NULL THEN vlo WHEN khi IS NOT NULL THEN vhi END AS w__v FROM j",
+      "base" -> base, "fr" -> f)
+  }
+
+  test("composite hard + soft key joins match DuckDB as-of joins within each group") {
+    // Group 2 has no foreign row at all, so none of its base rows matches.
+    val base = Seq((1L, 5.0), (1L, 10.0), (1L, 14.0), (1L, 22.0), (1L, 31.0), (2L, 10.0), (2L, 20.0))
+      .zipWithIndex.map { case ((g, t), i) => (i.toLong, g, t) }.toDF("id", "g", "t")
+    val f = Seq((1L, 10.0, 100.0), (1L, 20.0, 200.0), (1L, 20.0, 400.0), (1L, 25.0, 600.0))
+      .toDF("fg", "ft", "v")
+    val cand = CandidateJoin("w", f,
+      Seq(KeyPair("g", "fg", KeyKind.Hard), KeyPair("t", "ft", KeyKind.Soft)))
+    def joined(method: SoftJoinMethod, tolerance: Option[Double]): DataFrame =
+      JoinExec.join(base, cand, method, tolerance)
+        .select(col("id").cast("long").as("id"), col("w__v").cast("double").as("w__v"))
+    val bracketed =
+      "WITH b AS (SELECT CAST(id AS BIGINT) AS id, CAST(g AS BIGINT) AS g, " +
+        "CAST(t AS DOUBLE) AS t FROM base), " +
+        "f AS (SELECT CAST(fg AS BIGINT) AS g, CAST(ft AS DOUBLE) AS ft, " +
+        "AVG(CAST(v AS DOUBLE)) AS v FROM fr GROUP BY 1, 2), " +
+        "j AS (SELECT b.id, b.t, lo.ft AS klo, lo.v AS vlo, hi.ft AS khi, hi.v AS vhi " +
+        "FROM b ASOF LEFT JOIN f lo ON b.g = lo.g AND b.t >= lo.ft " +
+        "ASOF LEFT JOIN f hi ON b.g = hi.g AND b.t <= hi.ft) "
+    Oracle.assertEquivalent(joined(SoftJoinMethod.NearestNeighbour, Some(5.0)),
+      bracketed + "SELECT id, CASE " +
+        "WHEN klo IS NOT NULL AND (khi IS NULL OR t - klo <= khi - t) " +
+        "THEN CASE WHEN t - klo <= 5 THEN vlo END " +
+        "WHEN khi IS NOT NULL THEN CASE WHEN khi - t <= 5 THEN vhi END END AS w__v FROM j",
+      "base" -> base, "fr" -> f)
+    Oracle.assertEquivalent(joined(SoftJoinMethod.TwoWayNearestNeighbour, None),
+      bracketed + "SELECT id, CASE " +
         "WHEN klo IS NOT NULL AND khi IS NOT NULL THEN CASE WHEN khi = klo THEN vlo " +
         "ELSE (khi - t) / (khi - klo) * vlo + (1 - (khi - t) / (khi - klo)) * vhi END " +
         "WHEN klo IS NOT NULL THEN vlo WHEN khi IS NOT NULL THEN vhi END AS w__v FROM j",

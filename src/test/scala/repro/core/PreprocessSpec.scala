@@ -22,8 +22,8 @@ class PreprocessSpec extends SparkSpec {
     assert(!out.columns.contains("s"))
     assert(out.columns.toSet == Set("s__is_0", "s__is_1"))
     // most frequent level "a" maps to indicator 0
-    assert(out.agg(sum("s__is_0")).head.getDouble(0) == 3.0)
-    assert(out.agg(sum("s__is_1")).head.getDouble(0) == 2.0)
+    assert(out.agg(sum("s__is_0")).head().getDouble(0) == 3.0)
+    assert(out.agg(sum("s__is_1")).head().getDouble(0) == 2.0)
   }
 
   test("binarize's level ranking matches DuckDB GROUP BY, ORDER BY count, value") {

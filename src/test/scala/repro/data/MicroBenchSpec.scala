@@ -54,8 +54,8 @@ class MicroBenchSpec extends SparkSpec {
   }
 
   test("micro datasets are deterministic") {
-    val a = MicroBench.kraken(spark).df.agg(sum("s0")).head.getDouble(0)
-    val b = MicroBench.kraken(spark).df.agg(sum("s0")).head.getDouble(0)
+    val a = MicroBench.kraken(spark).df.agg(sum("s0")).head().getDouble(0)
+    val b = MicroBench.kraken(spark).df.agg(sum("s0")).head().getDouble(0)
     assert(a == b)
   }
 }

@@ -67,7 +67,7 @@ class SynthWorldsSpec extends SparkSpec {
   test("noise tables do not correlate with the target") {
     val c = poverty.task.candidates.find(_.name == "rnoise0").get
     val joined = JoinExec.join(poverty.task.base, c)
-    val corr = joined.na.drop.stat.corr("rnoise0__n0", "poverty_rate")
+    val corr = joined.na.drop().stat.corr("rnoise0__n0", "poverty_rate")
     assert(math.abs(corr) < 0.1, s"corr $corr")
   }
 
@@ -97,8 +97,8 @@ class SynthWorldsSpec extends SparkSpec {
   }
 
   test("worlds are deterministic in the seed") {
-    val a = SynthWorlds.poverty(spark).task.base.agg(sum("poverty_rate")).head.getDouble(0)
-    val b = SynthWorlds.poverty(spark).task.base.agg(sum("poverty_rate")).head.getDouble(0)
+    val a = SynthWorlds.poverty(spark).task.base.agg(sum("poverty_rate")).head().getDouble(0)
+    val b = SynthWorlds.poverty(spark).task.base.agg(sum("poverty_rate")).head().getDouble(0)
     assert(a == b)
   }
 

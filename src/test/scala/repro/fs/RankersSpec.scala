@@ -9,7 +9,6 @@ import repro.SparkSpec
 import repro.core.TaskKind
 
 class RankersSpec extends SparkSpec {
-  import spark.implicits._
 
   // Binary classification frame: sig separates, noise doesn't.
   private lazy val cls = spark.range(500).select(
@@ -101,7 +100,7 @@ class RankersSpec extends SparkSpec {
     */
   private def sparkStandardized(df: DataFrame, fit: DataFrame => Array[Double]): Array[Double] = {
     val coefficients = fit(new VectorAssembler().setInputCols(feats.toArray).setOutputCol("fv").transform(df))
-    val sds = df.select(feats.map(f => stddev_samp(f)): _*).head.toSeq.map(_.asInstanceOf[Double])
+    val sds = df.select(feats.map(f => stddev_samp(f)): _*).head().toSeq.map(_.asInstanceOf[Double])
     coefficients.zip(sds).map { case (c, sd) => math.abs(c) * sd }
   }
 

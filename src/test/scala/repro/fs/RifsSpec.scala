@@ -6,7 +6,6 @@ import repro.core.TaskKind
 import repro.ml.MatrixOps
 
 class RifsSpec extends SparkSpec {
-  import spark.implicits._
 
   // An explicit partition count, so the per-partition `randn` draws (and
   // the pinned values below) do not depend on the core count.

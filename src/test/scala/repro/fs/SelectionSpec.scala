@@ -6,7 +6,6 @@ import repro.core.TaskKind
 import repro.ml.MatrixOps
 
 class SelectionSpec extends SparkSpec {
-  import spark.implicits._
 
   private lazy val df = spark.range(400).select(
     (col("id") % 2).cast("double").as("y"),

@@ -80,13 +80,6 @@ class SparseRegressionSpec extends AnyFunSuite {
     assert(res.rowNorms.toArray.zipWithIndex.maxBy(_._1)._2 == 4)
   }
 
-  test("robustLabels variant runs and still finds the signal") {
-    val (x, y) = planted(100, 12, Seq(6), seed = 6, noise = 0.1)
-    val res = SparseRegression.solve(x, SparseRegression.labelMatrix(y, TaskKind.Regression),
-                                     gamma = 0.05, robustLabels = true)
-    assert(res.rowNorms.toArray.zipWithIndex.maxBy(_._1)._2 == 6)
-  }
-
   test("solver is deterministic") {
     val (x, y) = planted(60, 8, Seq(1), seed = 7)
     val yM = SparseRegression.labelMatrix(y, TaskKind.Regression)
