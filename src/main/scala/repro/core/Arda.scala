@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 
 import repro.fs.FeatureSelector
 import repro.ml.Estimator
@@ -47,9 +48,9 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
 
   private val id = taskDef.idCol
   private var cached = List.empty[DataFrame]
-  private def cache(df: DataFrame): DataFrame = {
-    val c = df.cache(); c.count(); cached ::= c; c
-  }
+  /** Cache and count `df`, unless it is already cached (the Sketch coreset is `baseFull`). */
+  private def cache(df: DataFrame): DataFrame =
+    if (df.storageLevel != StorageLevel.NONE) df else { val c = df.cache(); c.count(); cached ::= c; c }
 
   /** Full base table, preprocessed. */
   lazy val (baseFull, baseFeats): (DataFrame, Seq[String]) = {

@@ -8,18 +8,18 @@ import org.apache.spark.sql.types._
 /** Join execution (§4).
   *
   * Only LEFT joins are used: augmentation must preserve every base-table
-  * row and add no rows. Every join takes one path:
+  * row and add no rows. Every join takes one path and runs no Spark job:
   *   1. prefix the foreign payload columns with the candidate name;
-  *   2. for a soft time key that is finer than the base key, truncate it
-  *      to the base key's granularity (time resampling; every soft method
-  *      but `HardUnmodified`);
-  *   3. aggregate the foreign table to one row per join key (numeric →
+  *   2. aggregate the foreign table to one row per join key (numeric →
   *      avg, others → min), which removes one-to-many matches and averages
   *      each resampled period — on a key that is already unique this only
   *      turns numeric payloads into doubles;
-  *   4. left-join: on equal keys, or, for the nearest-neighbour soft
+  *   3. left-join: on equal keys, or, for the nearest-neighbour soft
   *      methods, to the nearest foreign value (optionally interpolating
   *      between the two bracketing rows).
+  *
+  * Time resampling happens once, in [[JoinPlan.plan]]: a planned candidate
+  * arrives resampled, an unplanned one is joined on its keys as they are.
   *
   * Nearest-neighbour joins are expressed as a union + window ("as-of join"):
   * base rows and foreign rows, each side carried as one struct, are
@@ -33,29 +33,9 @@ object JoinExec {
   /** Prefix applied to foreign payload columns: `<candidate>__<column>`. */
   def prefixed(cand: String, col: String): String = s"${cand}__$col"
 
-  private val TimeGrans = Seq(86400.0, 3600.0, 60.0, 1.0)
-
-  /** Infer the resolution of a numeric (epoch-seconds) key: the coarsest
-    * granularity from day/hour/minute/second that all values align to, or
-    * None for keys that are not time-like multiples of a second.
-    */
-  def inferGranularity(df: DataFrame, keyCol: String): Option[Double] = {
-    val c = col(keyCol).cast(DoubleType)
-    val aggs = TimeGrans.map(g => max(abs(pmod(c, lit(g)))).as(s"g$g"))
-    val row = df
-      .filter(c.isNotNull)
-      .agg(aggs.head, aggs.tail: _*)
-      .collect()
-    row.headOption.flatMap { r =>
-      TimeGrans.zipWithIndex
-        .find { case (_, i) => !r.isNullAt(i) && r.getDouble(i) < 1e-6 }
-        .map(_._1)
-    }
-  }
-
   /** Aggregate `df` grouped by `keyCols`: numeric columns → avg, others →
     * min (deterministic representative). `join` applies it once to every
-    * foreign table, after any time-key truncation.
+    * foreign table.
     */
   def aggregateByKeys(df: DataFrame, keyCols: Seq[String]): DataFrame = {
     val payload = df.columns.toSeq.filterNot(keyCols.contains)
@@ -85,13 +65,9 @@ object JoinExec {
     val payload = payloadCols.map(prefixed(cand.name, _))
     val renamed = cand.table.withColumnsRenamed(payloadCols.zip(payload).toMap)
 
-    val aligned = softKeys.headOption match {
-      case Some(soft) if method != SoftJoinMethod.HardUnmodified => truncateToBase(left, renamed, soft)
-      case _ => renamed
-    }
-    // One row per foreign key: removes one-to-many matches and, after
-    // truncation, averages each base-granularity period (§4).
-    val foreign = aggregateByKeys(aligned, keyCols)
+    // One row per foreign key: removes one-to-many matches and, on a
+    // resampled candidate, averages each base-granularity period (§4).
+    val foreign = aggregateByKeys(renamed, keyCols)
 
     (softKeys.headOption, method) match {
       case (Some(soft), SoftJoinMethod.NearestNeighbour | SoftJoinMethod.TwoWayNearestNeighbour) =>
@@ -103,18 +79,6 @@ object JoinExec {
           .select(left.columns.toSeq.map(left(_)) ++ payload.map(foreign(_)): _*)
     }
   }
-
-  /** Time resampling (§4): when the foreign soft key is finer than the base
-    * key, truncate it to the base key's granularity.
-    */
-  private def truncateToBase(left: DataFrame, foreign: DataFrame, soft: KeyPair): DataFrame =
-    (inferGranularity(left, soft.baseCol), inferGranularity(foreign, soft.foreignCol)) match {
-      case (Some(bg), Some(fg)) if fg < bg =>
-        foreign.withColumn(
-          soft.foreignCol,
-          (floor(col(soft.foreignCol).cast(DoubleType) / bg) * bg).cast(DoubleType))
-      case _ => foreign
-    }
 
   /** Union-and-window as-of join. For every base row we recover the
     * bracketing foreign rows (largest foreign key ≤ x and smallest ≥ x)

@@ -2,16 +2,18 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.DoubleType
 
 /** Join planning (§4): priority scoring of candidates, the Tuple-Ratio
-  * prefilter of Kumar et al. [42], and table grouping into batches that
-  * respect the feature budget.
+  * prefilter of Kumar et al. [42], time resampling of soft keys, and
+  * table grouping into batches that respect the feature budget.
   */
 object JoinPlan {
 
-  /** A candidate annotated with planning statistics. `nFeatures` counts
-    * the feature columns its payload becomes after [[Preprocess.prepare]],
-    * read from the schema.
+  /** A candidate annotated with planning statistics. `cand` is the
+    * candidate as it is joined ([[resampled]]); the statistics are of the
+    * table as given. `nFeatures` counts the feature columns its payload
+    * becomes after [[Preprocess.prepare]], read from the schema.
     */
   final case class PlannedJoin(cand: CandidateJoin, score: Double,
                                nFeatures: Int, tupleRatio: Double)
@@ -55,14 +57,52 @@ object JoinPlan {
     if (nR == 0) Double.PositiveInfinity else baseRows.toDouble / nR
   }
 
-  /** Score and annotate all candidates against the base table. */
+  private val TimeGrans = Seq(86400.0, 3600.0, 60.0, 1.0)
+
+  /** Infer the resolution of a numeric (epoch-seconds) key: the coarsest
+    * granularity from day/hour/minute/second that all values align to, or
+    * None for keys that are not time-like multiples of a second.
+    */
+  def inferGranularity(df: DataFrame, keyCol: String): Option[Double] = {
+    val c = col(keyCol).cast(DoubleType)
+    val aggs = TimeGrans.map(g => max(abs(pmod(c, lit(g)))).as(s"g$g"))
+    val row = df
+      .filter(c.isNotNull)
+      .agg(aggs.head, aggs.tail: _*)
+      .collect()
+    row.headOption.flatMap { r =>
+      TimeGrans.zipWithIndex
+        .find { case (_, i) => !r.isNullAt(i) && r.getDouble(i) < 1e-6 }
+        .map(_._1)
+    }
+  }
+
+  /** Time resampling (§4): `cand` with its soft foreign key truncated to
+    * `baseGrain`, the base key's granularity, when the foreign key is
+    * finer (inferred only when `baseGrain` is known); otherwise `cand`.
+    */
+  def resampled(cand: CandidateJoin, baseGrain: Option[Double]): CandidateJoin =
+    (cand.keys.find(_.kind == KeyKind.Soft), baseGrain) match {
+      case (Some(soft), Some(bg)) if inferGranularity(cand.table, soft.foreignCol).exists(_ < bg) =>
+        val fk = col(soft.foreignCol).cast(DoubleType)
+        cand.copy(table = cand.table.withColumn(soft.foreignCol, (floor(fk / bg) * bg).cast(DoubleType)))
+      case _ => cand
+    }
+
+  /** Score, annotate and resample all candidates against the base table,
+    * inferring each distinct soft base column's granularity once.
+    */
   def plan(base: DataFrame, cands: Seq[CandidateJoin]): Seq[PlannedJoin] = {
     val baseRows = base.count()
-    expandAlternatives(cands).map { c =>
+    val expanded = expandAlternatives(cands)
+    val baseGrain = expanded.flatMap(_.keys).filter(_.kind == KeyKind.Soft).map(_.baseCol).distinct
+      .map(c => c -> inferGranularity(base, c)).toMap
+    expanded.map { c =>
       val score = c.discoveryScore.getOrElse(intersectionScore(base, c))
       val nFeat = c.table.schema.fields.filterNot(f => c.keys.exists(_.foreignCol == f.name))
         .map(f => Preprocess.preparedWidth(f.dataType)).sum
-      PlannedJoin(c, score, nFeat, tupleRatio(baseRows, c))
+      val grain = c.keys.find(_.kind == KeyKind.Soft).flatMap(k => baseGrain(k.baseCol))
+      PlannedJoin(resampled(c, grain), score, nFeat, tupleRatio(baseRows, c))
     }
   }
 

@@ -18,17 +18,15 @@ object KeyKind {
   case object Soft extends KeyKind
 }
 
-/** Soft-join strategy (§4). */
+/** Soft-join strategy (§4); time resampling happens in [[JoinPlan.plan]]. */
 sealed trait SoftJoinMethod
 object SoftJoinMethod {
   /** Join with the nearest foreign key; nulls beyond `tolerance`. */
   case object NearestNeighbour extends SoftJoinMethod
   /** Interpolate linearly between the bracketing foreign rows. */
   case object TwoWayNearestNeighbour extends SoftJoinMethod
-  /** Truncate the finer key to the coarser granularity and hard-join. */
-  case object HardWithResampling extends SoftJoinMethod
-  /** Join on unmodified keys — the paper's "simple (hard) join" strawman. */
-  case object HardUnmodified extends SoftJoinMethod
+  /** Equal keys: hard join with resampling if planned, else the "simple (hard) join" strawman. */
+  case object Hard extends SoftJoinMethod
 }
 
 /** Coreset construction strategy (§3.1). */

@@ -57,7 +57,7 @@ object MicroBench {
     // paper's digits baseline is far from perfect).
     val shared = Array.fill(nPix)(rnd.nextDouble() * 16)
     val varies = Array.fill(nPix)(rnd.nextDouble() < 0.3)
-    val protos = Array.tabulate(nClasses, nPix) { (c, p) =>
+    val protos = Array.tabulate(nClasses, nPix) { (_, p) =>
       if (varies(p)) rnd.nextDouble() * 16 else shared(p)
     }
     val base = spark.range(nPerClass * nClasses)

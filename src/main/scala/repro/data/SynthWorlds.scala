@@ -42,7 +42,7 @@ object SynthWorlds {
     * plus noise payload; `coverage` drops a fraction of keys; `fanout`>1
     * duplicates keys (one-to-many, forcing pre-aggregation).
     */
-  private def hardForeign(spark: SparkSession, name: String, fk: String, k: Long,
+  private def hardForeign(spark: SparkSession, fk: String, k: Long,
                           signal: Option[(Double, Double, Double)], // (a, b, jitter)
                           nNoise: Int, coverage: Double, fanout: Int,
                           seed: Long, withCat: Boolean = false): DataFrame = {
@@ -65,8 +65,7 @@ object SynthWorlds {
     * is a function of the *period* index plus intra-period jitter, so
     * aggregating to the period granularity recovers it.
     */
-  private def timeForeign(spark: SparkSession, name: String, fk: String,
-                          periods: Long, periodGran: Double, gran: Double,
+  private def timeForeign(spark: SparkSession, fk: String, periods: Long, periodGran: Double, gran: Double,
                           signal: Option[(Double, Double, Double)],
                           nNoise: Int, coverage: Double, seed: Long): DataFrame = {
     val perPeriod = math.max(1L, (periodGran / gran).toLong)
@@ -125,22 +124,21 @@ object SynthWorlds {
 
     val signalCands = sigs.zipWithIndex.map { case ((a, b, j), i) =>
       CandidateJoin(s"weather$i",
-        timeForeign(spark, s"weather$i", "ts", nDays, Day, Hour, Some((a, b, j)), 2, 0.92, seed + 10 + i),
+        timeForeign(spark, "ts", nDays, Day, Hour, Some((a, b, j)), 2, 0.92, seed + 10 + i),
         softKey)
     } :+ CandidateJoin("events",
-      hardForeign(spark, "events", "ts_day", nDays, Some((s4._1, s4._2, s4._3)), 2, 0.95, 3, seed + 20)
+      hardForeign(spark, "ts_day", nDays, Some((s4._1, s4._2, s4._3)), 2, 0.95, 3, seed + 20)
         .withColumn("ts_day", lit(Epoch0) + (col("ts_day") - 1).cast(DoubleType) * Day),
       Seq(KeyPair("ts", "ts_day", KeyKind.Soft)))
     val fineNoise = (0 until 15).map { i =>
       CandidateJoin(s"tnoise$i",
-        timeForeign(spark, s"tnoise$i", "ts", nDays, Day, if (i % 2 == 0) Hour else Day,
+        timeForeign(spark, "ts", nDays, Day, if (i % 2 == 0) Hour else Day,
                     None, 2 + i % 3, 0.9, seed + 30 + i),
         softKey)
     }
     val monthNoise = (0 until 10).map { i =>
       CandidateJoin(s"mnoise$i",
-        hardForeign(spark, s"mnoise$i", "month", 48, None, 2 + i % 3, 0.95, 1,
-                    seed + 60 + i, withCat = i % 4 == 0),
+        hardForeign(spark, "month", 48, None, 2 + i % 3, 0.95, 1, seed + 60 + i, withCat = i % 4 == 0),
         monthKey)
     }
     World(
@@ -161,7 +159,7 @@ object SynthWorlds {
     val nHours = nDays * 24
     val rnd = new Random(seed)
     val hourIdx = floor(col("ts") / Hour)
-    val sigsFine = Seq.tabulate(2)(i => (0.5 + 2.0 * rnd.nextDouble(), rnd.nextDouble() * 6, 0.8))
+    val sigsFine = Seq.fill(2)((0.5 + 2.0 * rnd.nextDouble(), rnd.nextDouble() * 6, 0.8))
     val sigDay = (0.5 + 2.0 * rnd.nextDouble(), rnd.nextDouble() * 6, 0.5)
     val base = spark.range(nHours)
       .select(col("id"), (lit(Epoch0) + col("id").cast(DoubleType) * Hour).as("ts"))
@@ -180,21 +178,20 @@ object SynthWorlds {
     def softKey = Seq(KeyPair("ts", "ts", KeyKind.Soft))
     val signalCands = sigsFine.zipWithIndex.map { case ((a, b, j), i) =>
       CandidateJoin(s"flights$i",
-        timeForeign(spark, s"flights$i", "ts", nHours, Hour, Minute, Some((a, b, j)), 2, 0.92, seed + 10 + i),
+        timeForeign(spark, "ts", nHours, Hour, Minute, Some((a, b, j)), 2, 0.92, seed + 10 + i),
         softKey)
     } :+ CandidateJoin("daystats",
-      hardForeign(spark, "daystats", "day", nDays, Some((sigDay._1, sigDay._2, sigDay._3)), 2, 1.0, 1, seed + 20),
+      hardForeign(spark, "day", nDays, Some((sigDay._1, sigDay._2, sigDay._3)), 2, 1.0, 1, seed + 20),
       Seq(KeyPair("day", "day", KeyKind.Hard)))
     val fineNoise = (0 until 4).map { i =>
       CandidateJoin(s"tnoise$i",
-        timeForeign(spark, s"tnoise$i", "ts", nHours, Hour, if (i % 2 == 0) Minute else Hour,
+        timeForeign(spark, "ts", nHours, Hour, if (i % 2 == 0) Minute else Hour,
                     None, 2 + i % 3, 0.9, seed + 30 + i),
         softKey)
     }
     val dayNoise = (0 until 16).map { i =>
       CandidateJoin(s"dnoise$i",
-        hardForeign(spark, s"dnoise$i", "day", nDays, None, 2 + i % 3, 0.95, 1,
-                    seed + 50 + i, withCat = i % 5 == 0),
+        hardForeign(spark, "day", nDays, None, 2 + i % 3, 0.95, 1, seed + 50 + i, withCat = i % 5 == 0),
         Seq(KeyPair("day", "day", KeyKind.Hard)))
     }
     World(
@@ -229,20 +226,20 @@ object SynthWorlds {
 
     val countySignal = strong.zipWithIndex.map { case ((a, b, j), i) =>
       CandidateJoin(s"census$i",
-        hardForeign(spark, s"census$i", "county", kCounty, Some((a, b, j)), 3, 0.92, 1, seed + 10 + i),
+        hardForeign(spark, "county", kCounty, Some((a, b, j)), 3, 0.92, 1, seed + 10 + i),
         Seq(KeyPair("county", "county", KeyKind.Hard)))
     }
     val countyNoise = Seq(CandidateJoin("cnoise0",
-      hardForeign(spark, "cnoise0", "county", kCounty, None, 4, 0.9, 1, seed + 20),
+      hardForeign(spark, "county", kCounty, None, 4, 0.9, 1, seed + 20),
       Seq(KeyPair("county", "county", KeyKind.Hard))))
     val regionSignal = weak.zipWithIndex.map { case ((a, b, j), i) =>
       CandidateJoin(s"rstats$i",
-        hardForeign(spark, s"rstats$i", "region", kRegion, Some((a, b, j)), 2, 1.0, 1, seed + 30 + i),
+        hardForeign(spark, "region", kRegion, Some((a, b, j)), 2, 1.0, 1, seed + 30 + i),
         Seq(KeyPair("region", "region", KeyKind.Hard)))
     }
     val regionNoise = (0 until 33).map { i =>
       CandidateJoin(s"rnoise$i",
-        hardForeign(spark, s"rnoise$i", "region", kRegion, None, 2 + i % 4, 1.0, 1,
+        hardForeign(spark, "region", kRegion, None, 2 + i % 4, 1.0, 1,
                     seed + 40 + i, withCat = i % 6 == 0),
         Seq(KeyPair("region", "region", KeyKind.Hard)))
     }
@@ -286,24 +283,24 @@ object SynthWorlds {
     val stateKey = Seq(KeyPair("state", "state", KeyKind.Hard))
     val signalCands = strong.zipWithIndex.map { case ((a, b, j), i) =>
       CandidateJoin(s"demo$i",
-        hardForeign(spark, s"demo$i", "district", kDistrict, Some((a, b, j)), 2, 0.93,
+        hardForeign(spark, "district", kDistrict, Some((a, b, j)), 2, 0.93,
                     if (i == 0) 2 else 1, seed + 10 + i),
         distKey)
     } ++ (if (large) Seq(CandidateJoin("statesig",
-      hardForeign(spark, "statesig", "state", kState, Some((weakState._1, weakState._2, weakState._3)),
+      hardForeign(spark, "state", kState, Some((weakState._1, weakState._2, weakState._3)),
                   2, 1.0, 1, seed + 19),
       stateKey)) else Nil)
     val nStateNoise = if (large) math.max(1, (nTables * 11) / 100 - (if (large) 1 else 0)) else 2
     val nDistNoise  = nTables - signalCands.length - nStateNoise
     val distNoise = (0 until nDistNoise).map { i =>
       CandidateJoin(s"dnoise$i",
-        hardForeign(spark, s"dnoise$i", "district", kDistrict, None, 2 + i % 4, 0.9, 1,
+        hardForeign(spark, "district", kDistrict, None, 2 + i % 4, 0.9, 1,
                     seed + 30 + i, withCat = i % 7 == 0),
         distKey)
     }
     val stateNoise = (0 until nStateNoise).map { i =>
       CandidateJoin(s"snoise$i",
-        hardForeign(spark, s"snoise$i", "state", kState, None, 2 + i % 3, 1.0, 1, seed + 900 + i),
+        hardForeign(spark, "state", kState, None, 2 + i % 3, 1.0, 1, seed + 900 + i),
         stateKey)
     }
     World(

@@ -103,6 +103,14 @@ class ArdaSpec extends SparkSpec {
     } finally p.close()
   }
 
+  test("a sketch coreset is the cached base, not cached again") {
+    val p = new ArdaPipeline(miniWorld.task, cfg.copy(coresetStrategy = CoresetStrategy.Sketch))
+    try {
+      p.baseFull
+      assert(jobsIn("sketch-coreset")(p.coreset) == 0)
+    } finally p.close()
+  }
+
   test("fs time is measured and batches counted") {
     val r = Arda.run(miniWorld.task, cfg, new FeatureSelectors.Ranked(Rankers.FTestRanker))
     assert(r.fsSeconds > 0)
@@ -125,13 +133,30 @@ class ArdaSpec extends SparkSpec {
            s"aug ${r.augmentedScore} vs base ${r.baselineScore}")
   }
 
-  test("soft-join world runs end to end (taxi subset)") {
+  // Taxi with 4 of its candidates: hourly (resampled), daily one-to-many, hourly noise, month noise.
+  private def taxiSubset = {
     val w = SynthWorlds.taxi(spark)
-    val sub = w.task.copy(candidates = w.task.candidates.filter(c =>
+    w.task.copy(candidates = w.task.candidates.filter(c =>
       Set("weather0", "events", "tnoise0", "mnoise0").contains(c.name)))
-    val r = Arda.run(sub, cfg, new FeatureSelectors.Ranked(Rankers.RandomForestRanker))
+  }
+
+  test("soft-join world runs end to end (taxi subset)") {
+    val r = Arda.run(taxiSubset, cfg, new FeatureSelectors.Ranked(Rankers.RandomForestRanker))
     assert(r.augmentedScore > r.baselineScore,
            s"aug ${r.augmentedScore} vs base ${r.baselineScore}")
+  }
+
+  test("the soft-join final estimate runs one Spark job, its collect (taxi subset)") {
+    val p = new ArdaPipeline(taxiSubset, cfg)
+    try {
+      p.batchFrames
+      p.baselineScore
+      // Planned candidates are already resampled: no granularity queries.
+      val jobs = withConf("spark.sql.adaptive.enabled" -> "false") {
+        jobsIn("soft-final-estimate")(p.runSelector(FeatureSelectors.KeepAll))
+      }
+      assert(jobs == 1, s"$jobs jobs")
+    } finally p.close()
   }
 
   test("the final estimate runs one Spark job, its collect") {

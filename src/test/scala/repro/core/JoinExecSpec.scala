@@ -10,22 +10,22 @@ class JoinExecSpec extends SparkSpec {
 
   test("inferGranularity detects day-resolution keys") {
     val df = Seq(86400.0 * 100, 86400.0 * 101, 86400.0 * 350).toDF("ts")
-    assert(JoinExec.inferGranularity(df, "ts").contains(86400.0))
+    assert(JoinPlan.inferGranularity(df, "ts").contains(86400.0))
   }
 
   test("inferGranularity detects hour-resolution keys") {
     val df = Seq(3600.0 * 5, 3600.0 * 7, 86400.0 * 2).toDF("ts")
-    assert(JoinExec.inferGranularity(df, "ts").contains(3600.0))
+    assert(JoinPlan.inferGranularity(df, "ts").contains(3600.0))
   }
 
   test("inferGranularity detects minute and second resolutions") {
-    assert(JoinExec.inferGranularity(Seq(60.0, 120.0, 180.0).toDF("t"), "t").contains(60.0))
-    assert(JoinExec.inferGranularity(Seq(61.0, 122.0).toDF("t"), "t").contains(1.0))
+    assert(JoinPlan.inferGranularity(Seq(60.0, 120.0, 180.0).toDF("t"), "t").contains(60.0))
+    assert(JoinPlan.inferGranularity(Seq(61.0, 122.0).toDF("t"), "t").contains(1.0))
   }
 
   test("inferGranularity returns None for non-time-like keys") {
     val df = Seq(0.5, 1.25, 3.75).toDF("t")
-    assert(JoinExec.inferGranularity(df, "t").isEmpty)
+    assert(JoinPlan.inferGranularity(df, "t").isEmpty)
   }
 
   test("aggregateByKeys averages numeric and mins categorical payloads") {
@@ -161,8 +161,9 @@ class JoinExecSpec extends SparkSpec {
     // hourly foreign rows within day 10 average to 2.0; day 11 to 6.0
     val f = Seq((day * 10, 1.0), (day * 10 + 3600, 3.0),
                 (day * 11 + 3600, 5.0), (day * 11 + 7200, 7.0)).toDF("ts", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
-                            SoftJoinMethod.HardWithResampling)
+    val cand = CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft)))
+    val out = JoinExec.join(base, JoinPlan.resampled(cand, JoinPlan.inferGranularity(base, "ts")),
+                            SoftJoinMethod.Hard)
     val m = out.collect().map(r => r.getLong(0) -> r.getDouble(2)).toMap
     assert(m(1L) == 2.0 && m(2L) == 6.0)
   }
@@ -172,7 +173,7 @@ class JoinExecSpec extends SparkSpec {
     val base = Seq((1L, day * 10)).toDF("id", "ts")
     val f = Seq((day * 10 + 3600, 3.0)).toDF("ts", "v")
     val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
-                            SoftJoinMethod.HardUnmodified)
+                            SoftJoinMethod.Hard)
     assert(out.head().isNullAt(2))
   }
 
@@ -180,7 +181,8 @@ class JoinExecSpec extends SparkSpec {
     val day = 86400.0
     val base = Seq((1L, day * 10)).toDF("id", "ts")
     val f = Seq((day * 10, 1.0), (day * 10 + 3600, 3.0)).toDF("ts", "v")
-    val out = JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft))),
+    val cand = CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft)))
+    val out = JoinExec.join(base, JoinPlan.resampled(cand, JoinPlan.inferGranularity(base, "ts")),
                             SoftJoinMethod.NearestNeighbour)
     assert(out.head().getDouble(2) == 2.0) // aggregated day value, not one hour's
   }
@@ -204,17 +206,20 @@ class JoinExecSpec extends SparkSpec {
       "FROM b ASOF LEFT JOIN f lo ON b.t >= lo.ft ASOF LEFT JOIN f hi ON b.t <= hi.ft) "
 
   private def softJoined(base: DataFrame, f: DataFrame, method: SoftJoinMethod,
-                         tolerance: Option[Double] = None): DataFrame =
-    JoinExec.join(base, CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft))),
-                  method, tolerance)
+                         tolerance: Option[Double] = None,
+                         resample: Boolean = false): DataFrame = {
+    val cand = CandidateJoin("w", f, Seq(KeyPair("t", "ft", KeyKind.Soft)))
+    val joined = if (resample) JoinPlan.resampled(cand, JoinPlan.inferGranularity(base, "t")) else cand
+    JoinExec.join(base, joined, method, tolerance)
       .select(col("id").cast("long").as("id"), col("w__v").cast("double").as("w__v"))
+  }
 
   test("hour-to-day resampling join matches DuckDB truncate, group and left join") {
     val base = Seq(9.0, 10.0, 11.0, 13.0).zipWithIndex
       .map { case (d, i) => (i.toLong, d * Day) }.toDF("id", "t")
     val f = Seq((Day * 10, 1.0), (Day * 10 + 3600, 3.0), (Day * 10 + 3600, 5.0),
                 (Day * 11 + 7200, 7.0), (Day * 12 + 3600, 9.0)).toDF("ft", "v")
-    Oracle.assertEquivalent(softJoined(base, f, SoftJoinMethod.HardWithResampling),
+    Oracle.assertEquivalent(softJoined(base, f, SoftJoinMethod.Hard, resample = true),
       "WITH b AS (SELECT CAST(id AS BIGINT) AS id, CAST(t AS DOUBLE) AS t FROM base), " +
         "f AS (SELECT floor(CAST(ft AS DOUBLE) / 86400) * 86400 AS ft, " +
         "AVG(CAST(v AS DOUBLE)) AS v FROM fr GROUP BY 1) " +
@@ -312,6 +317,21 @@ class JoinExecSpec extends SparkSpec {
     assert(picks.head.size == 400)
     val differ = picks.head.count { case (id, v) => picks(1)(id) != v }
     assert(differ == 0, s"$differ of 400 picks differ")
+  }
+
+  test("a soft-key join runs no Spark job, for every method") {
+    val day = 86400.0
+    val base = Seq((1L, day * 10), (2L, day * 11)).toDF("id", "ts")
+    val f = Seq((day * 10, 1.0), (day * 10 + 3600, 3.0), (day * 11 + 7200, 7.0)).toDF("ts", "v")
+    val cand = CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft)))
+    for (m <- Seq(SoftJoinMethod.NearestNeighbour, SoftJoinMethod.TwoWayNearestNeighbour,
+                  SoftJoinMethod.Hard)) {
+      // Without adaptive execution, which submits each shuffle stage as its own job.
+      val jobs = withConf("spark.sql.adaptive.enabled" -> "false") {
+        jobsIn(s"soft-join-$m")(JoinExec.join(base, cand, m))
+      }
+      assert(jobs == 0, s"$m: $jobs jobs")
+    }
   }
 
   test("soft join preserves all base rows and columns") {

@@ -86,6 +86,40 @@ class JoinPlanSpec extends SparkSpec {
     assert(kept.map(_.cand.name) == Seq("big"))
   }
 
+  test("plan resamples an hourly soft candidate to day keys and keeps its tuple ratio") {
+    val day = 86400.0
+    val base = Seq(day * 10, day * 11, day * 12).toDF("ts")
+    val hourly = cand("w", Seq((day * 10 + 3600, 1.0), (day * 10 + 7200, 3.0), (day * 11, 5.0))
+      .toDF("fts", "v"), "ts", "fts", KeyKind.Soft)
+    val hard = cand("h", Seq((1L, 1.0)).toDF("fk", "v"), score = Some(1.0))
+    val notTime = cand("n", Seq((0.5, 1.0), (1.25, 2.0)).toDF("fts", "v"), "ts", "fts", KeyKind.Soft)
+    val Seq(w, h, n) = JoinPlan.plan(base, Seq(hourly, hard, notTime))
+    assert(w.cand.table.select("fts").as[Double].collect().sorted.toSeq == Seq(day * 10, day * 10, day * 11))
+    assert(w.tupleRatio == JoinPlan.tupleRatio(3L, hourly))
+    assert(h.cand == hard && n.cand == notTime)
+  }
+
+  test("plan infers a soft base column's granularity once, a candidate's only on a time base") {
+    val day = 86400.0
+    def soft(name: String) =
+      cand(name, Seq((day * 10 + 3600, 1.0)).toDF("fts", "v"), "ts", "fts", KeyKind.Soft)
+    var runs = 0
+    def jobs(base: org.apache.spark.sql.DataFrame, cs: Seq[CandidateJoin]): Int = {
+      runs += 1
+      withConf("spark.sql.adaptive.enabled" -> "false")(jobsIn(s"plan-$runs")(JoinPlan.plan(base, cs)))
+    }
+    val trJobs = withConf("spark.sql.adaptive.enabled" -> "false") {
+      jobsIn("tuple-ratio")(JoinPlan.tupleRatio(1L, soft("a")))
+    }
+    // A second candidate on the same base column adds its tuple ratio and
+    // its own granularity, not the base's again.
+    val daily = Seq(day * 10, day * 11).toDF("ts")
+    assert(jobs(daily, Seq(soft("a"), soft("b"))) - jobs(daily, Seq(soft("a"))) == trJobs + 1)
+    // On a base key with no time granularity, no candidate's is inferred.
+    val notTime = Seq(0.5, 1.25).toDF("ts")
+    assert(jobs(notTime, Seq(soft("a"), soft("b"))) - jobs(notTime, Seq(soft("a"))) == trJobs)
+  }
+
   test("plan uses the discovery score when present") {
     val base = Seq(1L).toDF("k")
     val f = Seq(9L).toDF("fk")

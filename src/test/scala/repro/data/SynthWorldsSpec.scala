@@ -49,12 +49,12 @@ class SynthWorldsSpec extends SparkSpec {
   }
 
   test("taxi base time key has day granularity") {
-    assert(JoinExec.inferGranularity(taxi.task.base, "ts").contains(86400.0))
+    assert(JoinPlan.inferGranularity(taxi.task.base, "ts").contains(86400.0))
   }
 
   test("taxi signal tables are finer-grained than the base key") {
     val weather = taxi.task.candidates.find(_.name == "weather0").get
-    assert(JoinExec.inferGranularity(weather.table, "ts").contains(3600.0))
+    assert(JoinPlan.inferGranularity(weather.table, "ts").contains(3600.0))
   }
 
   test("signal feature correlates with the target after joining") {

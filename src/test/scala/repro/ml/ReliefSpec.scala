@@ -77,7 +77,7 @@ class ReliefSpec extends AnyFunSuite {
 
   test("constant features get zero-ish relief weight") {
     val rnd = new Random(8)
-    val x = DenseMatrix.tabulate(100, 3)((i, j) => if (j == 2) 1.0 else rnd.nextGaussian())
+    val x = DenseMatrix.tabulate(100, 3)((_, j) => if (j == 2) 1.0 else rnd.nextGaussian())
     val y = DenseVector.tabulate(100)(i => (i % 2).toDouble)
     val w = Relief.reliefF(x, y, 50, 4, seed = 10)
     assert(math.abs(w(2)) < 1e-9)
