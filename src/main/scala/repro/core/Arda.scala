@@ -54,8 +54,8 @@ final class ArdaPipeline(val taskDef: AugTask, val cfg: ArdaConfig) {
 
   /** Full base table, preprocessed. */
   lazy val (baseFull, baseFeats): (DataFrame, Seq[String]) = {
-    val (df, feats) = Preprocess.prepare(taskDef.base, taskDef.baseFeatureCols, cfg.seed)
-    (cache(df), feats)
+    val stats = Preprocess.fit(taskDef.base, taskDef.baseFeatureCols, cfg.seed)
+    (cache(stats(taskDef.base)), stats.features)
   }
 
   /** The paper's baseline: the estimator on the (prepared) base table. */

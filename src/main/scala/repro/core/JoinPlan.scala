@@ -13,7 +13,8 @@ object JoinPlan {
   /** A candidate annotated with planning statistics. `cand` is the
     * candidate as it is joined ([[resampled]]); the statistics are of the
     * table as given. `nFeatures` counts the feature columns its payload
-    * becomes after [[Preprocess.prepare]], read from the schema.
+    * becomes when prepared ([[Preprocess.preparedWidth]]), read from the
+    * schema.
     */
   final case class PlannedJoin(cand: CandidateJoin, score: Double,
                                nFeatures: Int, tupleRatio: Double)

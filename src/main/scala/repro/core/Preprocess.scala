@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -14,10 +14,10 @@ import org.apache.spark.sql.types._
   */
 object Preprocess {
 
-  /** Indicator columns [[binarize]] makes per categorical, at most. */
+  /** Indicator columns a [[Stats]] makes per categorical, at most. */
   val MaxLevels = 8
 
-  /** The number of prepared feature columns [[prepare]] makes of a column
+  /** The number of prepared feature columns a [[Stats]] makes of a column
     * of type `t`, at most: 1 numeric, 2 indicators per boolean,
     * `MaxLevels` per string, none of any other type.
     */
@@ -44,10 +44,11 @@ object Preprocess {
     among.filter(cat)
   }
 
-  /** A row set's statistics from [[fit]]: the medians and draws [[impute]]
-    * fills nulls with, and the levels [[binarize]] makes indicators of, by
-    * rank. `apply` imputes, then binarizes any frame with these columns,
-    * so `c__is_i` is the same level of `c` in every frame it prepares.
+  /** A row set's statistics from [[fit]]: the medians numeric nulls are
+    * filled with, the values a categorical null is drawn from, and the
+    * levels each categorical gets an indicator of, by rank. `apply`
+    * imputes, then binarizes any frame with these columns, so `c__is_i` is
+    * the same level of `c` in every frame it prepares.
     */
   final case class Stats(medians: Seq[(String, Double)], draws: Seq[(String, Seq[String])],
                          levels: Seq[(String, Seq[String])], seed: Long) {
@@ -61,10 +62,17 @@ object Preprocess {
             levels.filter(l => cats(l._1)), seed)
     }
 
+    /** `df` imputed, then binarized: each categorical with levels is
+      * replaced by its indicator columns, appended in `levels` order.
+      * Other values of it map to all-zero indicators, the conventional
+      * reference encoding.
+      */
     def apply(df: DataFrame): DataFrame = {
-      val numeric = medians.foldLeft(df) { case (d, (c, m)) =>
-        d.withColumn(c, coalesce(col(c).cast(DoubleType), lit(m)))
-      }
+      val numeric = df.withColumns(medians.map { case (c, m) =>
+        c -> coalesce(col(c).cast(DoubleType), lit(m))
+      }.toMap)
+      // One column at a time: each draw hashes the row as imputed so far,
+      // so a row gets the same fill at any partitioning.
       val imputed = draws.foldLeft(numeric) { case (d, (c, values)) =>
         val rowHash = xxhash64(d.columns.toSeq.map(col) :+ lit(seed + c.hashCode): _*)
         d.withColumn(c, coalesce(col(c),
@@ -72,67 +80,46 @@ object Preprocess {
           else element_at(array(values.map(lit): _*),
                           (pmod(rowHash, lit(values.length.toLong)) + 1).cast(IntegerType))))
       }
-      levels.foldLeft(imputed) { case (d, lv @ (c, values)) =>
-        values.zip(indicators(lv)).foldLeft(d) { case (dd, (v, ind)) =>
-          dd.withColumn(ind, when(col(c) === lit(v), 1.0).otherwise(0.0))
-        }.drop(c)
-      }
+      val binarized = levels.map(_._1).toSet
+      imputed.select(imputed.columns.toSeq.filterNot(binarized).map(col) ++ levels.flatMap { lv =>
+        lv._2.zip(indicators(lv)).map { case (v, ind) =>
+          when(col(lv._1) === lit(v), 1.0).otherwise(0.0).as(ind)
+        }
+      }: _*)
     }
   }
 
   private def indicators(levels: (String, Seq[String])): Seq[String] =
     levels._2.indices.map(i => s"${levels._1}__is_$i")
 
-  private def levelsOf(df: DataFrame, cols: Seq[String], maxLevels: Int): Seq[(String, Seq[String])] =
-    cols.map { c =>
-      c -> df.filter(col(c).isNotNull).groupBy(col(c)).count()
-        .orderBy(desc("count"), col(c)).limit(maxLevels)
-        .collect().map(_.get(0).toString).toSeq
-    }
-
-  private def imputing(df: DataFrame, cols: Seq[String], seed: Long): Stats = {
-    val nums = numericCols(df, cols)
-    // One multi-column approxQuantile pass: per-column calls would launch
-    // one job per feature, which dominates wide (500+-column) batches.
-    val medians =
-      if (nums.isEmpty) Nil
-      else nums.zip(df.stat.approxQuantile(nums.toArray, Array(0.5), 0.01))
-        .map { case (c, q) => c -> q.headOption.getOrElse(0.0) }
-    // Ordered before the limit: the draws must not depend on partitioning.
-    val draws = categoricalCols(df, cols).map { c =>
-      c -> df.filter(col(c).isNotNull).select(col(c)).distinct()
-        .orderBy(col(c)).limit(64).collect().map(_.get(0).toString).toSeq
-    }
-    Stats(medians, draws, Nil, seed)
-  }
-
-  /** One-hot binarize each categorical column into indicator columns for
-    * its up-to-`maxLevels` most frequent values (ties by value); the source
-    * column is dropped. Other levels map to all-zero indicators, which is
-    * the conventional reference encoding.
+  /** The [[Stats]] of `df`'s `featureCols`, in two Spark actions whatever
+    * the width (one without categoricals):
+    *  1. one aggregation: each numeric's approximate median (nulls and NaN
+    *     ignored, 0 if nothing is left) and each categorical's 64 smallest
+    *     observed values, which its nulls are drawn from;
+    *  2. one count of every categorical's values after imputation, all
+    *     columns at once: its `MaxLevels` most frequent, ties by value.
     */
-  def binarize(df: DataFrame, cols: Seq[String], maxLevels: Int = MaxLevels): DataFrame =
-    Stats(Nil, Nil, levelsOf(df, cols, maxLevels), 0L)(df)
-
-  /** Impute nulls: numeric → median (via approxQuantile, cast to double),
-    * categorical → a draw from the column's 64 smallest observed distinct
-    * values, picked by a seeded hash of the row, so a row gets the same
-    * fill at any partitioning.
-    */
-  def impute(df: DataFrame, cols: Seq[String], seed: Long = 7L): DataFrame =
-    imputing(df, cols, seed)(df)
-
-  /** The [[Stats]] of `df`'s `featureCols`, levels counted after imputation. */
   def fit(df: DataFrame, featureCols: Seq[String], seed: Long = 7L): Stats = {
-    val stats = imputing(df, featureCols, seed)
-    stats.copy(levels = levelsOf(stats(df), stats.draws.map(_._1), MaxLevels))
-  }
-
-  /** Full preparation of a joined table: [[fit]], then apply. Returns
-    * (prepared df, its feature columns).
-    */
-  def prepare(df: DataFrame, featureCols: Seq[String], seed: Long = 7L): (DataFrame, Seq[String]) = {
-    val stats = fit(df, featureCols, seed)
-    (stats(df), stats.features)
+    val nums = numericCols(df, featureCols)
+    val cats = categoricalCols(df, featureCols)
+    if (nums.isEmpty && cats.isEmpty) return Stats(Nil, Nil, Nil, seed)
+    val aggs = nums.map { c =>
+      val v = col(c).cast(DoubleType)
+      percentile_approx(when(!isnan(v), v), lit(0.5), lit(100))
+    } ++ cats.map(c => slice(array_sort(collect_set(col(c))), 1, 64))
+    val row = df.agg(aggs.head, aggs.tail: _*).head()
+    val medians = nums.zipWithIndex.map { case (c, i) => c -> (if (row.isNullAt(i)) 0.0 else row.getDouble(i)) }
+    val draws = cats.zipWithIndex.map { case (c, i) => c -> row.getSeq[Any](nums.size + i).map(_.toString) }
+    val imputing = Stats(medians, draws, Nil, seed)
+    if (cats.isEmpty) return imputing
+    val top = imputing(df).select(cats.map(c => col(c).cast(StringType).as(c)): _*)
+      .unpivot(Array.empty[Column], "column", "value")
+      .filter(col("value").isNotNull)
+      .groupBy("column", "value").count()
+      .groupBy("column")
+      .agg(slice(array_sort(collect_list(struct(-col("count"), col("value")))), 1, MaxLevels))
+      .collect().map(r => r.getString(0) -> r.getSeq[Row](1).map(_.getString(1))).toMap
+    imputing.copy(levels = cats.map(c => c -> top.getOrElse(c, Nil)))
   }
 }

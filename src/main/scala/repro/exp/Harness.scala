@@ -69,21 +69,21 @@ object Harness {
   /** Micro-benchmark protocol (§7.2 / Tables 2, 6): build a coreset of the
     * noise-augmented matrix with the given strategy, select features on
     * it, then score the selection with the final estimator (`autoScore`) on
-    * the full dataset. Returns (score, fsSeconds, nSelected).
+    * the full dataset, `m.df` as the caller cached it (or not). Returns
+    * (score, fsSeconds, nSelected).
     */
   def runMicro(m: MicroBench.Micro, selector: FeatureSelector,
                strategy: CoresetStrategy, coresetRows: Int,
                seed: Long): (Double, Double, Int) = {
-    val full = m.df.cache(); full.count()
     val cfg = ArdaConfig(coresetStrategy = strategy, coresetSize = coresetRows, seed = seed)
-    val core = Coreset.selectionInput(Coreset.build(full, m.target, m.task, cfg),
+    val core = Coreset.selectionInput(Coreset.build(m.df, m.target, m.task, cfg),
                                       m.features, m.target, m.task, cfg)
     val cached = core.cache(); cached.count()
     val t0 = System.nanoTime()
     val sel = selector.select(cached, m.features, m.target, m.task, seed)
     val fsSec = (System.nanoTime() - t0) / 1e9
     val safe = if (sel.isEmpty) m.features.take(2) else sel
-    val score = Estimator.autoScore(full, safe, m.target, m.task, seed)
+    val score = Estimator.autoScore(m.df, safe, m.target, m.task, seed)
     cached.unpersist(false)
     (score, fsSec, safe.length)
   }

@@ -42,12 +42,14 @@ object Table2 {
   /** (method → strategy → score) for a micro dataset. */
   def microScores(micro: MicroBench.Micro): Map[String, Map[CoresetStrategy, Double]] = {
     val noisy = MicroBench.withNoise(micro)
-    methods.map { m =>
+    val full = noisy.df.cache(); full.count()
+    try methods.map { m =>
       m.name -> strategies.map { s =>
         val (score, _, _) = Harness.runMicro(noisy, m, s, 600, seed = 13L)
         s -> score
       }.toMap
     }.toMap
+    finally full.unpersist(false)
   }
 
   def run(spark: SparkSession): Seq[String] = {

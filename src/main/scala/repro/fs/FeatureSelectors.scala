@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 
 import repro.core.TaskKind
 import repro.ml.MatrixOps
+import repro.ml.MatrixOps.LocalData
 
 /** A feature selector: returns the subset of `features` to keep. This is
   * the interface ARDA invokes per join batch (§3) and the micro
@@ -25,45 +26,35 @@ object FeatureSelectors {
                task: TaskKind, seed: Long): Seq[String] = features
   }
 
-  /** Ranker + the paper's exponential search (§6.3) — used for random
-    * forest, sparse regression, mutual info, f-test, lasso, logistic,
-    * linear svc and relief rows of Table 1/6. The input is collected once;
-    * the ranker and every holdout fit of the search run on that matrix.
+  /** A ranker, then a subset search over its order (§5, §6.3). The input
+    * is collected once; the ranker and every holdout fit of the search run
+    * on that matrix. `new Ranked(ranker)` is the ranker with the paper's
+    * exponential search — the random forest, sparse regression, mutual
+    * info, f-test, lasso, logistic, linear svc and relief rows of Table
+    * 1/6.
     */
-  final class Ranked(ranker: Ranker) extends FeatureSelector {
-    val name: String = ranker.name
+  final class Ranked(ranker: Ranker, val name: String,
+                     search: (LocalData, Seq[String], TaskKind, Long) => Seq[String])
+      extends FeatureSelector {
+    def this(ranker: Ranker) = this(ranker, ranker.name, Selection.exponentialSearch)
     override def supports(task: TaskKind): Boolean = ranker.supports(task)
     def select(df: DataFrame, features: Seq[String], target: String,
                task: TaskKind, seed: Long): Seq[String] = {
       val data = MatrixOps.collect(df, features, target)
       val scores = ranker.rank(data, features, task, seed)
-      Selection.exponentialSearch(data, Selection.orderByScore(features, scores), task, seed)
+      search(data, Selection.orderByScore(features, scores), task, seed)
     }
   }
 
   /** Forward selection over the RF ranking (the paper uses the RF ranker
     * for the wrapper methods).
     */
-  object Forward extends FeatureSelector {
-    val name = "forward selection"
-    def select(df: DataFrame, features: Seq[String], target: String,
-               task: TaskKind, seed: Long): Seq[String] = {
-      val data = MatrixOps.collect(df, features, target)
-      val scores = Rankers.RandomForestRanker.rank(data, features, task, seed)
-      Selection.forward(data, Selection.orderByScore(features, scores), task, seed)
-    }
-  }
+  val Forward: FeatureSelector =
+    new Ranked(Rankers.RandomForestRanker, "forward selection", Selection.forward(_, _, _, _))
 
   /** Backward elimination over the RF ranking. */
-  object Backward extends FeatureSelector {
-    val name = "backward selection"
-    def select(df: DataFrame, features: Seq[String], target: String,
-               task: TaskKind, seed: Long): Seq[String] = {
-      val data = MatrixOps.collect(df, features, target)
-      val scores = Rankers.RandomForestRanker.rank(data, features, task, seed)
-      Selection.backward(data, Selection.orderByScore(features, scores), task, seed)
-    }
-  }
+  val Backward: FeatureSelector =
+    new Ranked(Rankers.RandomForestRanker, "backward selection", Selection.backward(_, _, _, _))
 
   /** Recursive feature elimination with the RF ranker. */
   object Rfe extends FeatureSelector {

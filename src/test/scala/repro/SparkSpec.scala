@@ -18,11 +18,14 @@ import repro.jobs.JobSession
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  /** The number of Spark jobs `body` runs, counted in its own job group. */
+  /** The number of Spark jobs `body` runs, counted in its own job group.
+    * `body` runs without adaptive execution, which would submit each
+    * shuffle stage as a job of its own: one action is one job.
+    */
   def jobsIn(group: String)(body: => Unit): Int = {
     val sc = spark.sparkContext
     sc.setJobGroup(group, group)
-    try body finally sc.clearJobGroup()
+    try withConf("spark.sql.adaptive.enabled" -> "false")(body) finally sc.clearJobGroup()
     // The status store reads the listener bus in order: once a later
     // marker job shows up, every job of `group` has too.
     val marker = s"$group-marker"

@@ -152,24 +152,18 @@ class ArdaSpec extends SparkSpec {
       p.batchFrames
       p.baselineScore
       // Planned candidates are already resampled: no granularity queries.
-      val jobs = withConf("spark.sql.adaptive.enabled" -> "false") {
-        jobsIn("soft-final-estimate")(p.runSelector(FeatureSelectors.KeepAll))
-      }
+      val jobs = jobsIn("soft-final-estimate")(p.runSelector(FeatureSelectors.KeepAll))
       assert(jobs == 1, s"$jobs jobs")
     } finally p.close()
   }
 
   test("the final estimate runs one Spark job, its collect") {
-    // At most 7 candidates: foldJoins makes no checkpoint. Adaptive
-    // execution submits every shuffle stage as a job of its own; without
-    // it, one action is one job.
+    // At most 7 candidates: foldJoins makes no checkpoint.
     val p = new ArdaPipeline(SynthWorlds.schoolL(spark, nTables = 6).task, cfg)
     try {
       p.batchFrames
       p.baselineScore
-      val jobs = withConf("spark.sql.adaptive.enabled" -> "false") {
-        jobsIn("final-estimate")(p.runSelector(FeatureSelectors.KeepAll))
-      }
+      val jobs = jobsIn("final-estimate")(p.runSelector(FeatureSelectors.KeepAll))
       assert(jobs == 1, s"$jobs jobs")
     } finally p.close()
   }

@@ -326,10 +326,7 @@ class JoinExecSpec extends SparkSpec {
     val cand = CandidateJoin("w", f, Seq(KeyPair("ts", "ts", KeyKind.Soft)))
     for (m <- Seq(SoftJoinMethod.NearestNeighbour, SoftJoinMethod.TwoWayNearestNeighbour,
                   SoftJoinMethod.Hard)) {
-      // Without adaptive execution, which submits each shuffle stage as its own job.
-      val jobs = withConf("spark.sql.adaptive.enabled" -> "false") {
-        jobsIn(s"soft-join-$m")(JoinExec.join(base, cand, m))
-      }
+      val jobs = jobsIn(s"soft-join-$m")(JoinExec.join(base, cand, m))
       assert(jobs == 0, s"$m: $jobs jobs")
     }
   }

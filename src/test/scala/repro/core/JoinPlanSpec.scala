@@ -47,10 +47,7 @@ class JoinPlanSpec extends SparkSpec {
     val base = spark.range(0, 400, 1, 4).select((col("id") % 50).as("k"), col("id").as("v")).cache()
     val f = spark.range(0, 300, 1, 3).select((col("id") % 70 + 30).as("fk")).cache()
     base.count(); f.count()
-    // Without adaptive execution, which submits each shuffle stage as its own job.
-    val jobs = withConf("spark.sql.adaptive.enabled" -> "false") {
-      jobsIn("intersection")(assert(JoinPlan.intersectionScore(base, cand("t", f)) == 0.4))
-    }
+    val jobs = jobsIn("intersection")(assert(JoinPlan.intersectionScore(base, cand("t", f)) == 0.4))
     assert(jobs == 1)
     base.unpersist(); f.unpersist()
   }
@@ -106,11 +103,9 @@ class JoinPlanSpec extends SparkSpec {
     var runs = 0
     def jobs(base: org.apache.spark.sql.DataFrame, cs: Seq[CandidateJoin]): Int = {
       runs += 1
-      withConf("spark.sql.adaptive.enabled" -> "false")(jobsIn(s"plan-$runs")(JoinPlan.plan(base, cs)))
+      jobsIn(s"plan-$runs")(JoinPlan.plan(base, cs))
     }
-    val trJobs = withConf("spark.sql.adaptive.enabled" -> "false") {
-      jobsIn("tuple-ratio")(JoinPlan.tupleRatio(1L, soft("a")))
-    }
+    val trJobs = jobsIn("tuple-ratio")(JoinPlan.tupleRatio(1L, soft("a")))
     // A second candidate on the same base column adds its tuple ratio and
     // its own granularity, not the base's again.
     val daily = Seq(day * 10, day * 11).toDF("ts")
