@@ -1,6 +1,5 @@
 package repro.automl
 
-import breeze.linalg.DenseVector
 import org.apache.spark.sql.DataFrame
 
 import repro.core.TaskKind
@@ -45,7 +44,7 @@ object AutoMLLite {
     val candidates: Iterator[Int => Double] =
       ForestShapes.iterator.map { case (t, d) =>
         val model = LocalForest.fit(data, features, train, task, t, d, seed)
-        model.predict(data.x, _)
+        model.predict(data.cols, _)
       } ++ RidgePenalties.iterator.map(ridge(data, features, train, task, _)) ++
         // Boosting is for regression and binary classification only, as in Spark ML.
         (if (task == TaskKind.Regression || train.map(data.y(_)).distinct.length == 2)
@@ -65,8 +64,9 @@ object AutoMLLite {
   private def ridge(data: LocalData, features: Seq[String], train: Array[Int],
                     task: TaskKind, l2: Double): Int => Double = {
     val x = MatrixOps.standardize(data.columns(features))
-    val (xTrain, yTrain) = (x(train.toIndexedSeq, ::).toDenseMatrix, data.y(train.toIndexedSeq).toDenseVector)
-    def margins(fit: Linear.Fit): DenseVector[Double] = x * fit.w + fit.b
+    val (xTrain, yTrain) = (x.map(c => train.map(c)), train.map(data.y))
+    def margins(fit: Linear.Fit): Array[Double] =
+      Array.tabulate(data.y.length)(i => x.indices.foldLeft(0.0)((m, j) => m + x(j)(i) * fit.w(j)) + fit.b)
     task match {
       case TaskKind.Regression =>
         val m = margins(Linear.fit(xTrain, yTrain, Linear.Squared, 0.0, l2, RidgeIterations))
@@ -76,7 +76,7 @@ object AutoMLLite {
           .map { case (c, fit) => c -> margins(fit) }
         // Two classes fit only the larger; the smaller has margin 0.
         val classes =
-          if (fitted.size == 1) (yTrain.toArray.min, DenseVector.zeros[Double](x.rows)) +: fitted else fitted
+          if (fitted.size == 1) (yTrain.min, new Array[Double](data.y.length)) +: fitted else fitted
         i => classes.maxBy(_._2(i))._1
     }
   }
@@ -89,8 +89,8 @@ object AutoMLLite {
   private def boost(data: LocalData, features: Seq[String], train: Array[Int],
                     task: TaskKind, seed: Long): Int => Double = {
     val y = task match {
-      case TaskKind.Regression     => data.y.toArray
-      case TaskKind.Classification => data.y.toArray.map(2 * _ - 1)
+      case TaskKind.Regression     => data.y
+      case TaskKind.Classification => data.y.map(2 * _ - 1)
     }
     val f = new Array[Double](y.length) // the ensemble's margin per row
     var residual = y
@@ -98,7 +98,7 @@ object AutoMLLite {
       val tree = LocalForest.fit(data, residual, features, train, TaskKind.Regression,
                                  1, BoostDepth, seed + round)
       val weight = if (round == 0) 1.0 else BoostStep
-      f.indices.foreach(i => f(i) += weight * tree.predict(data.x, i))
+      f.indices.foreach(i => f(i) += weight * tree.predict(data.cols, i))
       residual = Array.tabulate(y.length)(i => task match {
         case TaskKind.Regression     => 2 * (y(i) - f(i))
         case TaskKind.Classification => 4 * y(i) / (1 + math.exp(2 * y(i) * f(i)))

@@ -72,13 +72,16 @@ object Preprocess {
         c -> coalesce(col(c).cast(DoubleType), lit(m))
       }.toMap)
       // One column at a time: each draw hashes the row as imputed so far,
-      // so a row gets the same fill at any partitioning.
-      val imputed = draws.foldLeft(numeric) { case (d, (c, values)) =>
-        val rowHash = xxhash64(d.columns.toSeq.map(col) :+ lit(seed + c.hashCode): _*)
-        d.withColumn(c, coalesce(col(c),
-          if (values.isEmpty) lit("∅")
-          else element_at(array(values.map(lit): _*),
-                          (pmod(rowHash, lit(values.length.toLong)) + 1).cast(IntegerType))))
+      // so a row gets the same fill at any partitioning. A column with no
+      // observed value is filled with "∅" if it holds strings; any other
+      // type stays null (it has no levels, so binarizing drops it).
+      val imputed = draws.foldLeft(numeric) {
+        case (d, (c, Seq())) =>
+          if (d.schema(c).dataType == StringType) d.withColumn(c, coalesce(col(c), lit("∅"))) else d
+        case (d, (c, values)) =>
+          val rowHash = xxhash64(d.columns.toSeq.map(col) :+ lit(seed + c.hashCode): _*)
+          d.withColumn(c, coalesce(col(c), element_at(array(values.map(lit): _*),
+            (pmod(rowHash, lit(values.length.toLong)) + 1).cast(IntegerType))))
       }
       val binarized = levels.map(_._1).toSet
       imputed.select(imputed.columns.toSeq.filterNot(binarized).map(col) ++ levels.flatMap { lv =>

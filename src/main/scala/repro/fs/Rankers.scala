@@ -1,6 +1,5 @@
 package repro.fs
 
-import breeze.linalg.DenseVector
 import org.apache.spark.sql.DataFrame
 
 import repro.core.TaskKind
@@ -49,7 +48,7 @@ object Rankers {
     def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] = {
       val x = MatrixOps.standardize(data.columns(features))
       val yMat = SparseRegression.labelMatrix(data.y, task)
-      SparseRegression.solve(x, yMat).rowNorms.toArray
+      SparseRegression.solve(x, yMat).rowNorms
     }
   }
 
@@ -62,7 +61,7 @@ object Rankers {
     override def supports(task: TaskKind): Boolean = task == TaskKind.Regression
     def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
       Linear.fit(MatrixOps.standardize(data.columns(features)), data.y, Linear.Squared,
-                 l1 = 0.02, l2 = 0.0, iterations = 50).w.map(math.abs).toArray
+                 l1 = 0.02, l2 = 0.0, iterations = 50).w.map(math.abs)
   }
 
   /** ℓ1 logistic regression |w| ranking: mean log-loss + 0.01‖w‖₁ over
@@ -105,14 +104,18 @@ object Rankers {
   object ReliefRanker extends Ranker {
     val name = "relief"
     def rank(data: LocalData, features: Seq[String], task: TaskKind, seed: Long): Array[Double] =
-      Relief.weights(data.columns(features), data.y, task, seed = seed).toArray
+      Relief.weights(data.columns(features), data.y, task, seed = seed)
   }
 
   /** Sum over the classes of |w| of the binary fits of each class against
     * the rest; a single fit, of the larger label, for two classes.
     */
   private def oneVsRest(data: LocalData, features: Seq[String], loss: Linear.Loss,
-                        l1: Double, l2: Double, iterations: Int): Array[Double] =
-    Linear.oneVsRest(MatrixOps.standardize(data.columns(features)), data.y, loss, l1, l2, iterations)
-      .foldLeft(DenseVector.zeros[Double](features.length))(_ + _._2.w.map(math.abs)).toArray
+                        l1: Double, l2: Double, iterations: Int): Array[Double] = {
+    val sum = new Array[Double](features.length)
+    for ((_, fit) <- Linear.oneVsRest(MatrixOps.standardize(data.columns(features)), data.y, loss,
+                                      l1, l2, iterations); j <- sum.indices)
+      sum(j) += math.abs(fit.w(j))
+    sum
+  }
 }

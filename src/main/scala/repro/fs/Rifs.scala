@@ -1,6 +1,5 @@
 package repro.fs
 
-import breeze.linalg.{*, axpy, sum, DenseMatrix}
 import org.apache.spark.sql.DataFrame
 import scala.util.Random
 
@@ -41,18 +40,25 @@ object Rifs {
     */
   def injectColumns(data: LocalData, t: Int, seed: Long): (LocalData, Seq[String]) = {
     val rnd = new Random(seed)
-    val n = data.x.rows; val d = data.x.cols
-    val noise = DenseMatrix.zeros[Double](n, t)
+    val n = data.y.length; val d = data.cols.length
     val s = math.min(Sparsity, d)
     val scale = 1.0 / math.sqrt(s.toDouble)
-    val rowMean = sum(data.x(*, ::)) / d.toDouble
+    // Each row's sum adds its columns left to right.
+    val rowMean = new Array[Double](n)
+    for (c <- data.cols) { var i = 0; while (i < n) { rowMean(i) += c(i); i += 1 } }
+    for (i <- 0 until n) rowMean(i) /= d.toDouble
     // µ + Σ gᵢ(Aᵢ − µ) = µ·(1 − Σgᵢ) + Σ gᵢ·Aᵢ.
-    (0 until t).foreach { j =>
+    val noise = Array.fill(t) {
       val subset = rnd.shuffle((0 until d).toList).take(s)
       val gs = subset.map(f => f -> rnd.nextGaussian() * scale)
-      val sample = rowMean * (1.0 - gs.map(_._2).sum)
-      gs.foreach { case (f, g) => axpy(g, data.x(::, f), sample) }
-      noise(::, j) := sample
+      val meanWeight = 1.0 - gs.map(_._2).sum
+      val sample = rowMean.map(_ * meanWeight)
+      gs.foreach { case (f, g) =>
+        val a = data.cols(f)
+        var i = 0
+        while (i < n) { sample(i) += g * a(i); i += 1 }
+      }
+      sample
     }
     val names = (0 until t).map(i => s"__noise_$i")
     (data.withColumns(names, noise), names)

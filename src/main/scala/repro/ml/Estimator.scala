@@ -78,6 +78,6 @@ object Estimator {
     if (features.isEmpty) return Double.MinValue
     val (train, test) = LocalForest.split(data.y.length, seed)
     val model = LocalForest.fit(data, features, train, task, trees, depth, seed)
-    score(task, test.map(model.predict(data.x, _)), test.map(data.y(_)))
+    score(task, test.map(model.predict(data.cols, _)), test.map(data.y(_)))
   }
 }

@@ -1,7 +1,5 @@
 package repro.ml
 
-import breeze.linalg.{DenseMatrix, DenseVector}
-
 import repro.core.TaskKind
 
 /** Filter-model feature statistics (§5 baselines), in closed form over the
@@ -14,7 +12,7 @@ import repro.core.TaskKind
   *  - mutual information: joint counts over equal-width bins of each
   *    column (and of the label, for regression).
   *
-  * Scores are aligned with the columns of `x`.
+  * Scores are aligned with the columns `x` (one array per column).
   */
 object FilterStats {
 
@@ -22,16 +20,16 @@ object FilterStats {
   private val MiBins = 8
 
   /** F statistic per column of `x` against the label `y`. */
-  def fScores(x: DenseMatrix[Double], y: DenseVector[Double], task: TaskKind): Array[Double] =
-    Array.tabulate(x.cols) { j =>
+  def fScores(x: Array[Array[Double]], y: Array[Double], task: TaskKind): Array[Double] =
+    x.map { v =>
       task match {
-        case TaskKind.Regression     => regressionF(x(::, j), y)
-        case TaskKind.Classification => anovaF(x(::, j), y)
+        case TaskKind.Regression     => regressionF(v, y)
+        case TaskKind.Classification => anovaF(v, y)
       }
     }
 
   /** r²·(n−2)/(1−r²); 0 below 3 rows or for a (near-)constant side. */
-  private def regressionF(v: DenseVector[Double], y: DenseVector[Double]): Double = {
+  private def regressionF(v: Array[Double], y: Array[Double]): Double = {
     val n = v.length.toDouble
     if (n < 3) return 0.0
     var sv, svv, sy, syy, svy = 0.0
@@ -52,7 +50,7 @@ object FilterStats {
   /** (SSB/(k−1))/(SSW/(n−k)) over the k classes present; 0 for fewer than
     * 2 classes, fewer than k + 1 rows or no within-class spread.
     */
-  private def anovaF(v: DenseVector[Double], y: DenseVector[Double]): Double = {
+  private def anovaF(v: Array[Double], y: Array[Double]): Double = {
     // Per class: (count, Σv, Σv²).
     val moments = scala.collection.mutable.Map.empty[Double, Array[Double]]
     var i = 0
@@ -74,19 +72,18 @@ object FilterStats {
   /** Mutual information (nats) per column of `x` with the label `y`, over
     * `MiBins` equal-width value bins; a regression label is binned too.
     */
-  def miScores(x: DenseMatrix[Double], y: DenseVector[Double], task: TaskKind): Array[Double] = {
+  def miScores(x: Array[Array[Double]], y: Array[Double], task: TaskKind): Array[Double] = {
     val labels: Array[Int] = task match {
       case TaskKind.Classification =>
-        val index = y.toArray.distinct.zipWithIndex.toMap
-        y.toArray.map(index)
+        val index = y.distinct.zipWithIndex.toMap
+        y.map(index)
       case TaskKind.Regression => bins(y)
     }
-    Array.tabulate(x.cols)(j => mutualInfo(bins(x(::, j)), labels))
+    x.map(v => mutualInfo(bins(v), labels))
   }
 
   /** The equal-width bin of every value, between the column's extremes. */
-  private def bins(v: DenseVector[Double]): Array[Int] = {
-    val a = v.toArray
+  private def bins(a: Array[Double]): Array[Int] = {
     if (a.isEmpty) return Array.empty
     val lo = a.min
     val w = math.max(1e-12, a.max - lo)

@@ -7,6 +7,10 @@ import breeze.optimize.{DiffFunction, OWLQN}
   * linear SVC rankers and by AutoML-lite's ridge models: one
   * loss-and-gradient function, minimized by Breeze's OWLQN as Spark ML
   * fits these models (LinearSVC with no ℓ1 term too).
+  *
+  * It takes and returns plain arrays and converts to Breeze only here, for
+  * OWLQN: the first Breeze vector in a JVM loads about 1,700 classes, which
+  * only a run that fits a linear model pays.
   */
 object Linear {
 
@@ -29,13 +33,34 @@ object Linear {
   }
 
   /** Fitted weights `w` and intercept `b`. */
-  final case class Fit(w: DenseVector[Double], b: Double)
+  final case class Fit(w: Array[Double], b: Double)
 
-  /** The linear model minimizing the mean `loss` over the rows of `x` plus
-    * `l1`‖w‖₁ + ½`l2`‖w‖², with an unpenalized intercept.
+  /** The linear model minimizing the mean `loss` over the rows of the
+    * columns `x` plus `l1`‖w‖₁ + ½`l2`‖w‖², with an unpenalized intercept.
     */
-  def fit(x: DenseMatrix[Double], y: DenseVector[Double], loss: Loss,
-          l1: Double, l2: Double, iterations: Int): Fit = {
+  def fit(x: Array[Array[Double]], y: Array[Double], loss: Loss,
+          l1: Double, l2: Double, iterations: Int): Fit =
+    owlqn(matrix(x, y.length), new DenseVector(y), loss, l1, l2, iterations)
+
+  /** The binary fits of each class of `y` against the rest, as (class,
+    * fit); a single fit, of the larger label, for two classes.
+    */
+  def oneVsRest(x: Array[Array[Double]], y: Array[Double], loss: Loss,
+                l1: Double, l2: Double, iterations: Int): Seq[(Double, Fit)] = {
+    val m = matrix(x, y.length)
+    val classes = y.distinct.sorted
+    val positives = if (classes.length <= 2) classes.takeRight(1) else classes
+    positives.toSeq.map { c =>
+      c -> owlqn(m, new DenseVector(y.map(v => if (v == c) 1.0 else 0.0)), loss, l1, l2, iterations)
+    }
+  }
+
+  /** The n × d matrix of the columns `x`. */
+  private def matrix(x: Array[Array[Double]], n: Int): DenseMatrix[Double] =
+    new DenseMatrix(n, x.length, x.flatten)
+
+  private def owlqn(x: DenseMatrix[Double], y: DenseVector[Double], loss: Loss,
+                    l1: Double, l2: Double, iterations: Int): Fit = {
     val (n, d) = (x.rows, x.cols)
     val objective = new DiffFunction[DenseVector[Double]] {
       def calculate(p: DenseVector[Double]): (Double, DenseVector[Double]) = {
@@ -58,16 +83,6 @@ object Linear {
     }
     val p = new OWLQN[Int, DenseVector[Double]](iterations, 10, (j: Int) => if (j < d) l1 else 0.0, 1e-6)
       .minimize(objective, DenseVector.zeros[Double](d + 1))
-    Fit(p(0 until d).copy, p(d))
-  }
-
-  /** The binary fits of each class of `y` against the rest, as (class,
-    * fit); a single fit, of the larger label, for two classes.
-    */
-  def oneVsRest(x: DenseMatrix[Double], y: DenseVector[Double], loss: Loss,
-                l1: Double, l2: Double, iterations: Int): Seq[(Double, Fit)] = {
-    val classes = y.toArray.distinct.sorted
-    val positives = if (classes.length <= 2) classes.takeRight(1) else classes
-    positives.toSeq.map(c => c -> fit(x, y.map(v => if (v == c) 1.0 else 0.0), loss, l1, l2, iterations))
+    Fit(p(0 until d).toArray, p(d))
   }
 }

@@ -1,6 +1,5 @@
 package repro.ml
 
-import breeze.linalg.DenseMatrix
 import scala.util.Random
 
 import repro.core.TaskKind
@@ -95,17 +94,18 @@ object LocalForest {
   final class Model private[LocalForest] (task: TaskKind, cols: Array[Int],
                                           trees: Array[Node], val importances: Array[Double]) {
 
-    /** The prediction for row `i` of `x`, a matrix with the training
-      * matrix's column layout: the class with the highest summed leaf
-      * probability, or the mean of the trees' leaf means.
+    /** The prediction for row `i` of the columns `x`, laid out as the
+      * training matrix's [[LocalData.cols]] (`x(f)(i)` is feature `f` of
+      * row `i`): the class with the highest summed leaf probability, or
+      * the mean of the trees' leaf means.
       */
-    def predict(x: DenseMatrix[Double], i: Int): Double = {
+    def predict(x: Array[Array[Double]], i: Int): Double = {
       var sum: Array[Double] = null
       for (t <- trees) {
         var node = t
         while (node.isInstanceOf[Split]) {
           val s = node.asInstanceOf[Split]
-          node = if (x(i, cols(s.feature)) <= s.threshold) s.left else s.right
+          node = if (x(cols(s.feature))(i) <= s.threshold) s.left else s.right
         }
         val v = node.asInstanceOf[Leaf].value
         if (sum == null) sum = new Array[Double](v.length)
@@ -128,7 +128,7 @@ object LocalForest {
     */
   def fit(data: LocalData, features: Seq[String], rows: Array[Int], task: TaskKind,
           trees: Int, depth: Int, seed: Long): Model =
-    fit(data, data.y.toArray, features, rows, task, trees, depth, seed)
+    fit(data, data.y, features, rows, task, trees, depth, seed)
 
   /** As above, on labels `y` in place of `data.y`, with the same bins. */
   def fit(data: LocalData, y: Array[Double], features: Seq[String], rows: Array[Int],

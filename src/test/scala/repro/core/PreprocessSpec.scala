@@ -159,6 +159,16 @@ class PreprocessSpec extends SparkSpec {
     }
   }
 
+  test("a boolean categorical that is null in every row fits, applies and has no indicator") {
+    // A left-joined boolean payload with no match: no draws, no levels.
+    val df = Seq[(Long, Double, Option[Boolean])]((1L, 1.0, None), (2L, 2.0, None))
+      .toDF("id", "f", "b")
+    val (out, feats) = prepared(df, Seq("f", "b"))
+    assert(feats == Seq("f"))
+    assert(out.columns.toSeq == Seq("id", "f"))
+    assert(out.count() == 2)
+  }
+
   test("prepare imputes nulls in features") {
     val df = Seq((1L, Some(1.0)), (2L, None), (3L, Some(3.0))).toDF("id", "f")
     val (out, feats) = prepared(df, Seq("f"))

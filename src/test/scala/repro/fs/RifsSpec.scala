@@ -1,6 +1,9 @@
 package repro.fs
 
+import breeze.linalg.{*, axpy, sum, DenseMatrix}
 import org.apache.spark.sql.functions._
+import scala.util.Random
+
 import repro.SparkSpec
 import repro.core.TaskKind
 import repro.ml.MatrixOps
@@ -23,12 +26,48 @@ class RifsSpec extends SparkSpec {
 
   /** Column `c` of a collected matrix. */
   private def column(data: MatrixOps.LocalData, c: String): Array[Double] =
-    data.columns(Seq(c)).toArray
+    data.columns(Seq(c)).head
+
+  /** Algorithm 2 in Breeze, as `injectColumns` computed it on a Breeze
+    * matrix: the `t` noise columns it appends to `data`, by the same
+    * draws (at most 32 columns per sample).
+    */
+  private def breezeNoise(data: MatrixOps.LocalData, t: Int, seed: Long): DenseMatrix[Double] = {
+    val rnd = new Random(seed)
+    val x = new DenseMatrix(data.y.length, data.cols.length, data.cols.flatten)
+    val (n, d) = (x.rows, x.cols)
+    val noise = DenseMatrix.zeros[Double](n, t)
+    val s = math.min(32, d)
+    val scale = 1.0 / math.sqrt(s.toDouble)
+    val rowMean = sum(x(*, ::)) / d.toDouble
+    (0 until t).foreach { j =>
+      val subset = rnd.shuffle((0 until d).toList).take(s)
+      val gs = subset.map(f => f -> rnd.nextGaussian() * scale)
+      val sample = rowMean * (1.0 - gs.map(_._2).sum)
+      gs.foreach { case (f, g) => axpy(g, x(::, f), sample) }
+      noise(::, j) := sample
+    }
+    noise
+  }
+
+  test("injectColumns equals the Breeze formula exactly") {
+    val rnd = new Random(3)
+    // Beside the collected matrix, 45 columns: more than the 32 per sample.
+    val wide = MatrixOps.LocalData(Array.fill(45)(Array.fill(300)(rnd.nextGaussian() * 3 + 1)),
+                                   Array.fill(300)(rnd.nextDouble()), (0 until 45).map(j => s"c$j"))
+    for ((data, t) <- Seq(clsData -> 5, wide -> 9)) {
+      val (out, noise) = Rifs.injectColumns(data, t, 4L)
+      val want = breezeNoise(data, t, 4L)
+      noise.zipWithIndex.foreach { case (c, j) =>
+        assert(column(out, c).sameElements(want(::, j).toArray), s"$c of ${data.features.length} columns")
+      }
+    }
+  }
 
   test("injectColumns appends the requested number of noise columns") {
     val (out, noise) = Rifs.injectColumns(clsData, 3, 1L)
     assert(noise == Seq("__noise_0", "__noise_1", "__noise_2"))
-    assert(out.x.rows == cls.count())
+    assert(out.y.length == cls.count())
     noise.foreach(c => assert(out.features.contains(c)))
   }
 
@@ -36,7 +75,7 @@ class RifsSpec extends SparkSpec {
     // E[sample] = per-row mean of the feature columns.
     val (out, noise) = Rifs.injectColumns(clsData, 30, 4L)
     def avgOfRowMeans(cols: Seq[String]): Double =
-      cols.map(column(out, _).sum).sum / cols.length / out.x.rows
+      cols.map(column(out, _).sum).sum / cols.length / out.y.length
     val rowMeanAvg = avgOfRowMeans(feats)
     val injAvg = avgOfRowMeans(noise)
     assert(math.abs(injAvg - rowMeanAvg) < 0.4, s"$injAvg vs $rowMeanAvg")
@@ -60,9 +99,9 @@ class RifsSpec extends SparkSpec {
       "select"      -> Rifs.select(cls, feats, "y", c, fastCfg, 6L))
     val pinned = Seq(
       "inject sums" -> Seq(230.21723805602738, 169.30115146102742, 34.414104899408535),
-      "sr rank"     -> Seq(0.5367064740195027, 0.16711867095295851, 0.0017803366417630001,
-                           0.007121555010804254, 0.001451528754418813, 0.003209187658337435,
-                           0.0074636641943555135),
+      "sr rank"     -> Seq(0.5367064740195028, 0.16711867095295843, 0.001780336641763004,
+                           0.00712155501080423, 0.001451528754418811, 0.0032091876583374397,
+                           0.007463664194355509),
       "fractions"   -> Seq(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
       "select"      -> Seq("s1", "s2"))
     assert(got == pinned)

@@ -130,14 +130,14 @@ class EstimatorSpec extends SparkSpec {
   test("MatrixOps.collect round-trips values") {
     val df = Seq((1.0, 2.0, 0.0), (3.0, 4.0, 1.0)).toDF("a", "b", "y")
     val l = MatrixOps.collect(df, Seq("a", "b"), "y")
-    assert(l.x(0, 0) == 1.0 && l.x(1, 1) == 4.0 && l.y(1) == 1.0)
+    assert(l.cols(0)(0) == 1.0 && l.cols(1)(1) == 4.0 && l.y(1) == 1.0)
   }
 
   test("MatrixOps.standardize yields zero mean unit variance") {
     val df = Seq((10.0, 0.0), (20.0, 0.0), (30.0, 0.0)).toDF("a", "y")
     val l = MatrixOps.collect(df, Seq("a"), "y")
-    MatrixOps.standardize(l.x)
-    val col = (0 until 3).map(i => l.x(i, 0))
+    MatrixOps.standardize(l.cols)
+    val col = (0 until 3).map(i => l.cols(0)(i))
     assert(math.abs(col.sum) < 1e-9)
     assert(math.abs(col.map(v => v * v).sum / 3 - 1.0) < 1e-9)
   }

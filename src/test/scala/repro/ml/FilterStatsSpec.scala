@@ -10,12 +10,12 @@ class FilterStatsSpec extends SparkSpec {
 
   private def fScores(df: DataFrame, features: Seq[String], task: TaskKind): Array[Double] = {
     val d = MatrixOps.collect(df, features, "y")
-    FilterStats.fScores(d.x, d.y, task)
+    FilterStats.fScores(d.cols, d.y, task)
   }
 
   private def miScores(df: DataFrame, features: Seq[String], task: TaskKind): Array[Double] = {
     val d = MatrixOps.collect(df, features, "y")
-    FilterStats.miScores(d.x, d.y, task)
+    FilterStats.miScores(d.cols, d.y, task)
   }
 
   /** (feature index, F rounded to 4 decimals), one row per feature. */

@@ -88,10 +88,10 @@ class LocalForestSpec extends SparkSpec {
       case m: RandomForestRegressionModel     => m.featureImportances.toArray
     }
     val (train, test) = (MatrixOps.collect(tr, feats, "y"), MatrixOps.collect(te, feats, "y"))
-    val local = LocalForest.fit(train, feats, Array.range(0, train.x.rows), task,
+    val local = LocalForest.fit(train, feats, Array.range(0, train.y.length), task,
                                 trees, depth, seed)
-    val localScore = Estimator.score(task, Array.tabulate(test.x.rows)(local.predict(test.x, _)),
-                                     test.y.toArray)
+    val localScore = Estimator.score(task, Array.tabulate(test.y.length)(local.predict(test.cols, _)),
+                                     test.y)
     (sparkScore, localScore, sparkImp, local.importances)
   }
 
@@ -140,7 +140,7 @@ class LocalForestSpec extends SparkSpec {
   test("the same seed gives bit-identical scores and importances") {
     for ((df, task) <- Seq(binary -> TaskKind.Classification, regression -> TaskKind.Regression)) {
       val data = MatrixOps.collect(df, feats, "y")
-      val rows = Array.range(0, data.x.rows)
+      val rows = Array.range(0, data.y.length)
       def imp(seed: Long) = LocalForest.fit(data, feats, rows, task, FastTrees, FastDepth, seed).importances.toSeq
       assert(imp(3L) == imp(3L))
       assert(imp(3L) != imp(4L))
